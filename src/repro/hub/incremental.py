@@ -56,6 +56,7 @@ from repro.hub.runtime import HubRuntime, WakeEvent, fusion_eligibility
 from repro.il.ast import ChannelRef
 from repro.il.graph import DataflowGraph
 from repro.sensors.samples import BatchedChunk, Chunk, ChunkBuffer, StreamKind
+from repro.traces.stream import StreamColumn
 
 
 def incremental_eligibility(graph: DataflowGraph) -> Optional[str]:
@@ -380,38 +381,6 @@ class ChunkedReplayState:
         return []
 
 
-class _Column:
-    """Append-only float column with a lazily cached concatenation."""
-
-    __slots__ = ("_parts", "_cache", "_n", "last")
-
-    def __init__(self) -> None:
-        self._parts: List[np.ndarray] = []
-        self._cache: Optional[np.ndarray] = None
-        self._n = 0
-        self.last: Optional[float] = None
-
-    def append(self, array: np.ndarray) -> None:
-        if not len(array):
-            return
-        self._parts.append(array)
-        self._cache = None
-        self._n += len(array)
-        self.last = float(array[-1])
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._cache is None:
-            self._cache = (
-                np.concatenate(self._parts) if self._parts else np.empty(0)
-            )
-            self._parts = [self._cache]
-        return self._cache
-
-
 class RoundReplayState:
     """Streaming fallback for graphs that are not chunk-invariant.
 
@@ -434,11 +403,11 @@ class RoundReplayState:
         self.graph = graph
         self.chunk_seconds = float(chunk_seconds)
         self._runtime = HubRuntime(graph)
-        self._times: Dict[str, _Column] = {
-            name: _Column() for name in graph.channels
+        self._times: Dict[str, StreamColumn] = {
+            name: StreamColumn() for name in graph.channels
         }
-        self._values: Dict[str, _Column] = {
-            name: _Column() for name in graph.channels
+        self._values: Dict[str, StreamColumn] = {
+            name: StreamColumn() for name in graph.channels
         }
         self._rates: Dict[str, float] = {}
         self._start: Optional[float] = None
@@ -492,7 +461,9 @@ class RoundReplayState:
 
     def _end(self) -> Optional[float]:
         lasts = [
-            column.last for column in self._times.values() if len(column)
+            float(column.data[-1])
+            for column in self._times.values()
+            if len(column)
         ]
         return max(lasts) if lasts else None
 
@@ -520,9 +491,9 @@ class RoundReplayState:
                 break
             right = self._edge(self._fed + 1)
             ready = all(
-                len(self._times[name])
-                and self._times[name].last + 1.0 / self._rates[name] >= right
-                for name in self._times
+                len(column)
+                and float(column.data[-1]) + 1.0 / self._rates[name] >= right
+                for name, column in self._times.items()
             )
             if not ready:
                 break

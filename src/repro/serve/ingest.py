@@ -169,7 +169,10 @@ class StreamIngest:
 
         Raises:
             ServiceError: unknown stream with no ``rate_hz``.
-            TraceError: sequence gap or unknown channel.
+            TraceError: sequence gap, unknown channel or malformed
+                samples.  A refused chunk changes nothing and is not
+                journaled; a refused first chunk does not open the
+                stream.
         """
         key = (tenant, stream)
         buffer = self._buffers.get(key)
@@ -180,9 +183,10 @@ class StreamIngest:
                     "its first chunk must carry rate_hz"
                 )
             buffer = StreamBuffer(stream, dict(rate_hz))
-            self._buffers[key] = buffer
-            self._by_stream.setdefault(key, [])
         applied = buffer.push(seq, samples)
+        if key not in self._buffers:
+            self._buffers[key] = buffer
+            self._by_stream[key] = []
         if not applied:
             return False
         self.chunks += 1
@@ -292,9 +296,7 @@ class StreamIngest:
             if sub.done:
                 continue
             buffer = self._buffers[(sub.submission.tenant, sub.submission.trace)]
-            spans, moved = buffer.spans_since(sub.cursor)
-            sub.cursor = moved
-            spans = {name: spans[name] for name in sub.channels}
+            spans, sub.cursor = buffer.spans_since(sub.cursor, sub.channels)
             if all(span.is_empty for span in spans.values()):
                 continue
             if isinstance(sub.state, IncrementalGraphState):

@@ -19,7 +19,7 @@ final assembled trace whole.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -28,36 +28,42 @@ from repro.sensors.samples import Chunk, StreamKind
 from repro.traces.base import Trace
 
 
-class _Column:
-    """Append-only float64 sample column with a cached concatenation."""
+class StreamColumn:
+    """Append-only float64 sample column that doubles its capacity when full.
 
-    __slots__ = ("_parts", "_cache", "_n")
+    :meth:`append` copies the samples into place, so a push costs
+    amortised O(chunk) and the caller may reuse its array afterwards.
+    :attr:`data` is a read-only view of the filled prefix, so reading a
+    span costs O(span) and a handed-out view never changes: later
+    appends write past its end, and a doubling moves the column to a
+    new buffer, leaving the old one to the views that still hold it.
+    """
+
+    __slots__ = ("_buffer", "_n")
 
     def __init__(self) -> None:
-        self._parts: List[np.ndarray] = []
-        self._cache: Optional[np.ndarray] = None
+        self._buffer = np.empty(0, dtype=np.float64)
         self._n = 0
 
     def append(self, array: np.ndarray) -> None:
-        if not len(array):
-            return
-        self._parts.append(np.asarray(array, dtype=np.float64))
-        self._cache = None
-        self._n += len(array)
+        """Copy a 1-D array of samples onto the end of the column."""
+        end = self._n + len(array)
+        if end > len(self._buffer):
+            grown = np.empty(max(end, 2 * len(self._buffer)), dtype=np.float64)
+            grown[: self._n] = self._buffer[: self._n]
+            self._buffer = grown
+        self._buffer[self._n : end] = array
+        self._n = end
 
     def __len__(self) -> int:
         return self._n
 
     @property
     def data(self) -> np.ndarray:
-        if self._cache is None:
-            self._cache = (
-                np.concatenate(self._parts)
-                if self._parts
-                else np.empty(0, dtype=np.float64)
-            )
-            self._parts = [self._cache]
-        return self._cache
+        """Read-only view of every sample appended so far."""
+        view = self._buffer[: self._n]
+        view.flags.writeable = False
+        return view
 
 
 class StreamBuffer:
@@ -90,8 +96,8 @@ class StreamBuffer:
         self.name = name
         self.rate_hz: Dict[str, float] = dict(rate_hz)
         self.next_seq = 0
-        self._columns: Dict[str, _Column] = {
-            channel: _Column() for channel in rate_hz
+        self._columns: Dict[str, StreamColumn] = {
+            channel: StreamColumn() for channel in rate_hz
         }
 
     @property
@@ -138,7 +144,10 @@ class StreamBuffer:
             device retrying after reconnect).
 
         Raises:
-            TraceError: on a sequence gap or an unknown channel.
+            TraceError: on a sequence gap, an unknown channel, or
+                samples that are not a 1-D numeric array.  Every
+                channel is checked before any is applied, so a refused
+                chunk leaves the buffer unchanged.
         """
         if seq < self.next_seq:
             return False
@@ -152,8 +161,23 @@ class StreamBuffer:
             raise TraceError(
                 f"stream {self.name!r}: unknown channels {unknown}"
             )
+        arrays: Dict[str, np.ndarray] = {}
         for name, values in samples.items():
-            self._columns[name].append(np.asarray(values, dtype=np.float64))
+            try:
+                array = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError) as error:
+                raise TraceError(
+                    f"stream {self.name!r}: channel {name!r} samples are "
+                    f"not numeric ({error})"
+                ) from None
+            if array.ndim != 1:
+                raise TraceError(
+                    f"stream {self.name!r}: channel {name!r} samples must "
+                    f"be 1-D, got shape {array.shape}"
+                )
+            arrays[name] = array
+        for name, array in arrays.items():
+            self._columns[name].append(array)
         self.next_seq += 1
         return True
 
@@ -177,19 +201,22 @@ class StreamBuffer:
         )
 
     def spans_since(
-        self, cursor: Dict[str, int]
+        self, cursor: Dict[str, int], channels: Iterable[str]
     ) -> Tuple[Dict[str, Chunk], Dict[str, int]]:
-        """New per-channel spans past a cursor, plus the moved cursor.
+        """New spans of the named channels past a cursor, plus the moved
+        cursor.
 
         The cursor maps channel names to already-consumed item counts
-        (missing channels count as 0).  Concatenating the spans a
-        cursor walks through reproduces every channel array exactly.
+        (missing channels count as 0).  Spans and moved-cursor entries
+        cover exactly ``channels``; the other channels are not read.
+        Concatenating the spans a cursor walks through reproduces every
+        named channel's array exactly.
         """
         spans: Dict[str, Chunk] = {}
         moved: Dict[str, int] = {}
-        for name, column in self._columns.items():
+        for name in channels:
             start = cursor.get(name, 0)
-            stop = len(column)
+            stop = len(self._columns[name])
             spans[name] = self.channel_span(name, start, stop)
             moved[name] = max(start, stop)
         return spans, moved

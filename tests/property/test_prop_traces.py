@@ -7,6 +7,7 @@ generation is a pure function of its config.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.traces.robot import (
     RobotRunConfig,
     generate_robot_run,
 )
+from repro.traces.stream import StreamBuffer
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -151,6 +153,85 @@ def test_slice_concat_roundtrip_bitwise(data):
         (piece.name, a, b)
         for piece, (a, b) in zip(pieces, zip(bounds, bounds[1:]))
     ]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_stream_buffer_storage_contract(data):
+    """A growing StreamBuffer hands out stable, read-only spans.
+
+    Random per-channel chunk lengths (absent, empty and uneven
+    channels) and random cursor schedules over channel subsets.
+    ``ACC_X`` gets a 1-sample first chunk and then at least 8 samples
+    per chunk, so its column crosses several capacity doublings while
+    spans handed out before them are still held.  Then: (a) each
+    cursor's spans concatenate bitwise to ``to_trace()`` and
+    ``Trace.times``; (b) every span is bitwise what it was when handed
+    out; (c) spans and assembled channels refuse writes; (d)
+    ``spans_since`` returns and advances only the named channels.
+    """
+    rng = np.random.default_rng(data.draw(seeds, label="seed"))
+    rate = data.draw(st.sampled_from([25.0, 50.0, 100.0]), label="rate")
+    channels = ("ACC_X", "ACC_Y", "ACC_Z")
+    buffer = StreamBuffer("stream", {name: rate for name in channels})
+    subsets = [("ACC_X",), ("ACC_Y", "ACC_Z"), channels]
+    cursors = [{} for _ in subsets]
+    # Per cursor and channel: (span, times copy, values copy).
+    handed = [{name: [] for name in subset} for subset in subsets]
+
+    def push(lengths):
+        chunk = {name: rng.normal(size=n) for name, n in lengths.items()}
+        assert buffer.push(buffer.next_seq, chunk)
+
+    def walk(k):
+        spans, moved = buffer.spans_since(cursors[k], subsets[k])
+        counts = buffer.counts()
+        assert list(spans) == list(subsets[k])
+        assert moved == {name: counts[name] for name in subsets[k]}
+        cursors[k] = moved
+        for name, span in spans.items():
+            handed[k][name].append(
+                (span, span.times.copy(), span.values.copy())
+            )
+            if len(span):
+                with pytest.raises(ValueError):
+                    span.values[0] = 0.0
+
+    push({"ACC_X": 1})
+    for _ in range(data.draw(st.integers(16, 30), label="pushes")):
+        lengths = {"ACC_X": data.draw(st.integers(8, 40))}
+        for name in ("ACC_Y", "ACC_Z"):
+            n = data.draw(st.none() | st.integers(0, 40))
+            if n is not None:
+                lengths[name] = n
+        push(lengths)
+        walks = st.lists(st.integers(0, len(subsets) - 1), max_size=2)
+        for k in data.draw(walks):
+            walk(k)
+    # Even the channels out so the assembled trace is consistent.
+    counts = buffer.counts()
+    push({name: max(counts.values()) - n for name, n in counts.items()})
+    for k in range(len(subsets)):
+        walk(k)
+
+    trace = buffer.to_trace()
+    for k, subset in enumerate(subsets):
+        for name in subset:
+            for span, times, values in handed[k][name]:
+                assert span.times.tobytes() == times.tobytes()
+                assert span.values.tobytes() == values.tobytes()
+            spans = [span for span, _, _ in handed[k][name]]
+            assert (
+                np.concatenate([s.values for s in spans]).tobytes()
+                == trace.data[name].tobytes()
+            )
+            assert (
+                np.concatenate([s.times for s in spans]).tobytes()
+                == trace.times(name).tobytes()
+            )
+    for name in channels:
+        with pytest.raises(ValueError):
+            trace.data[name][0] = 0.0
 
 
 @given(seed=seeds, group=st.sampled_from([1, 2, 3]))

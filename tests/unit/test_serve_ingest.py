@@ -19,6 +19,7 @@ from repro.serve import (
     HUB_CATALOGS,
     ConditionService,
     Rejected,
+    ShardCluster,
     Submission,
 )
 
@@ -175,6 +176,22 @@ class TestRequestPath:
         with pytest.raises(TraceError, match="chunks must append in order"):
             service.push_chunk("t0", "s0", 2, {"ACC_X": np.zeros(100)})
 
+    def test_refused_first_chunk_opens_no_stream(self):
+        """A subscription over a stream whose only chunk was refused
+        would be journaled without any chunk record to replay it on."""
+        service = ConditionService(traces={})
+        with pytest.raises(TraceError, match="1-D"):
+            service.push_chunk(
+                "t0", "s0", 0, {"ACC_X": np.ones((100, 2))},
+                rate_hz={"ACC_X": RATE},
+            )
+        assert service.stream_cursor("t0", "s0") == 0
+        rejected = service.subscribe_stream(
+            Submission(tenant="t0", trace="s0", il=CONDITIONS["incremental"])
+        )
+        assert isinstance(rejected, Rejected)
+        assert "no chunks yet" in rejected.detail
+
     def test_stream_cursor_tracks_next_seq(self):
         service = ConditionService(traces={})
         assert service.stream_cursor("t0", "s0") == 0
@@ -286,3 +303,49 @@ class TestRecovery:
             recovered.pump()
         logs = recovered.close_stream("t0", "s0")
         assert logs[sub_id] == _reference(il, chunks)
+
+    def test_reused_sample_array_keeps_live_equal_to_recovered(self, tmp_path):
+        """The journal pickles a chunk at push time; a device reusing its
+        array before the pump must not change live history either."""
+        il = "ACC_X -> minThreshold(id=1, params={4.0}); 1 -> OUT;"
+        cluster = ShardCluster({}, shards=1, journal_dir=tmp_path)
+        values = np.full(200, 5.0)
+        cluster.push_chunk(
+            "t0", "s0", 0, {"ACC_X": values}, rate_hz={"ACC_X": RATE}
+        )
+        _, sub_id = cluster.subscribe_stream(
+            Submission(tenant="t0", trace="s0", il=il)
+        )
+        values[:] = 0.0
+        cluster.pump()
+        live = cluster.close_stream("t0", "s0")
+        cluster.shutdown()
+        recovered, _ = ShardCluster.recover(tmp_path, {}, shards=1)
+        replayed = recovered.close_stream("t0", "s0")
+        recovered.shutdown()
+        assert len(live[sub_id]) == 200
+        assert replayed == live
+
+    def test_refused_chunk_keeps_shard_pumping_and_recoverable(
+        self, tmp_path
+    ):
+        il = CONDITIONS["incremental"]
+        chunks = _chunks(seed=17)
+        journal = tmp_path / "shard.journal"
+
+        service = ConditionService(traces={}, journal=journal)
+        _push_all(service, chunks[:1])
+        sub_id = service.subscribe_stream(
+            Submission(tenant="t0", trace="s0", il=il)
+        )
+        with pytest.raises(TraceError, match="1-D"):
+            service.push_chunk("t0", "s0", 1, {"ACC_X": np.ones((100, 2))})
+        assert service.stream_cursor("t0", "s0") == 1
+        _push_all(service, chunks[1:], start=1)
+        logs = service.close_stream("t0", "s0")
+        service.shutdown()
+        recovered, _ = ConditionService.recover(journal, traces={})
+        replayed = recovered.close_stream("t0", "s0")
+        recovered.shutdown()
+        assert logs[sub_id] == _reference(il, chunks)
+        assert replayed == logs

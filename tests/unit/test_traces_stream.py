@@ -81,6 +81,38 @@ class TestPushProtocol:
         assert buffer.end_seconds == pytest.approx(2.0)
         assert buffer.watermark_seconds == 0.0
 
+    def test_push_copies_samples(self):
+        """A device reusing its sample array after a push changes no
+        history: the journal pickled the chunk at push time, so live
+        and recovered results would otherwise diverge."""
+        buffer = _buffer()
+        values = np.full(100, 5.0)
+        buffer.push(0, {"ACC_X": values, "ACC_Y": values})
+        values[:] = 0.0
+        assert np.all(buffer.channel_span("ACC_X", 0, 100).values == 5.0)
+        trace = buffer.to_trace()
+        assert np.all(trace.data["ACC_X"] == 5.0)
+        assert np.all(trace.data["ACC_Y"] == 5.0)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.ones((100, 2)), "must be 1-D"),
+            (3.0, "must be 1-D"),
+            (["a", "b"], "not numeric"),
+        ],
+    )
+    def test_refused_chunk_applies_no_channel(self, bad, match):
+        """Every channel is checked before any is applied, so a refused
+        chunk leaves the buffer as it was and its retry applies once."""
+        buffer = _buffer()
+        with pytest.raises(TraceError, match=match):
+            buffer.push(0, {"ACC_X": np.ones(100), "ACC_Y": bad})
+        assert buffer.counts() == {"ACC_X": 0, "ACC_Y": 0}
+        assert buffer.next_seq == 0
+        assert buffer.push(0, {"ACC_X": np.ones(100), "ACC_Y": np.ones(100)})
+        assert buffer.counts() == {"ACC_X": 100, "ACC_Y": 100}
+
 
 class TestSpanIdentity:
     def test_spans_concatenate_to_assembled_trace(self):
@@ -92,11 +124,12 @@ class TestSpanIdentity:
         for seq, chunk in enumerate(chunks):
             buffer.push(seq, chunk)
             if seq % 2 == 0:  # irregular: advance every other push
-                spans, cursor = buffer.spans_since(cursor)
+                spans, cursor = buffer.spans_since(cursor, buffer.channels)
                 for name, span in spans.items():
                     if not span.is_empty:
                         collected[name].append(span)
-        spans, cursor = buffer.spans_since(cursor)  # final catch-up
+        # Final catch-up.
+        spans, cursor = buffer.spans_since(cursor, buffer.channels)
         for name, span in spans.items():
             if not span.is_empty:
                 collected[name].append(span)
@@ -124,7 +157,7 @@ class TestSpanIdentity:
     def test_spans_since_unknown_cursor_key_counts_as_zero(self):
         buffer = _buffer()
         buffer.push(0, _chunks()[0])
-        spans, moved = buffer.spans_since({})
+        spans, moved = buffer.spans_since({}, buffer.channels)
         assert {name: len(span) for name, span in spans.items()} == {
             "ACC_X": 100, "ACC_Y": 100,
         }
