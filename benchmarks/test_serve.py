@@ -1,8 +1,8 @@
 """Fleet serving: sustained throughput and dedup savings.
 
-Drives the deterministic Zipf-ish load generator through a
-:class:`~repro.serve.service.ConditionService` at fleet sizes 10, 100
-and 1000 simulated devices and records sustained submissions/sec,
+Drives the deterministic Zipf-ish load generator through a one-shard
+:class:`~repro.serve.cluster.ShardCluster` at fleet sizes 10, 100 and
+1000 simulated devices and records sustained submissions/sec,
 dedup savings and tensor-major batch occupancy in
 ``results/BENCH_serve.json``.  A separate sweep measures raw batched
 throughput — one :meth:`repro.hub.compile.BatchedPlan.execute_batch`
@@ -27,13 +27,16 @@ from benchmarks.conftest import RESULTS_DIR, run_once, save_artifact
 from repro.apps import all_applications
 from repro.eval.report import render_table
 from repro.serve import (
+    Completed,
     ConditionService,
     LoadSpec,
+    ShardCluster,
     TenantQuota,
     fleet_workload,
     reference_result,
     response_digest,
     run_fleet,
+    shard_journal_path,
 )
 from repro.traces.library import audio_corpus, human_corpus, robot_corpus
 
@@ -86,8 +89,9 @@ def _registry():
     return {trace.name: trace for trace in traces}
 
 
-def _drive(fleet, traces, journal=None):
-    """One fleet's workload through a fresh service; its LoadReport."""
+def _drive(fleet, traces, journal_dir=None):
+    """One fleet's workload through a fresh one-shard cluster; its
+    LoadReport."""
     spec = LoadSpec(
         fleet=fleet,
         seed=0,
@@ -95,14 +99,14 @@ def _drive(fleet, traces, journal=None):
         max_submissions=2 if QUICK else 3,
     )
     submissions = fleet_workload(spec, all_applications(), list(traces.values()))
-    service = ConditionService(
+    cluster = ShardCluster(
         traces, quota=TenantQuota(max_pending=8), capacity=512,
-        journal=journal,
+        journal_dir=journal_dir,
     )
     try:
-        report = run_fleet(service, submissions)
+        report = run_fleet(cluster, submissions)
     finally:
-        service.shutdown()
+        cluster.shutdown()
     return report
 
 
@@ -124,7 +128,7 @@ def test_serve_fleet_scaling(benchmark):
                "fleets": {}}
     rows = []
     for fleet, report in reports.items():
-        m = report.metrics
+        m = report.metrics.merged
         # Every accepted submission reached a terminal response.
         assert report.tickets == len(report.responses)
         assert m.cancelled == 0
@@ -152,13 +156,14 @@ def test_serve_fleet_scaling(benchmark):
     # condition directly: completions must be bit-identical.
     small = reports[FLEETS[0]]
     checked = 0
-    for response in small.completed:
-        submission = small.by_ticket[response.ticket.submission_id]
+    for submission, response in small.pairs:
+        if not isinstance(response, Completed):
+            continue
         assert response.result == reference_result(submission, traces), (
             submission,
         )
         checked += 1
-    assert checked == small.metrics.completed > 0
+    assert checked == small.metrics.merged.completed > 0
 
     RESULTS_DIR.mkdir(exist_ok=True)
     _merge_results(payload)
@@ -496,7 +501,7 @@ def test_serve_journal_overhead_and_recovery(benchmark, tmp_path):
         for attempt in range(BATCH_TIMING_REPS):
             plain = _drive(100, traces)
             journaled = _drive(
-                100, traces, journal=tmp_path / f"fleet-100-{attempt}.wal"
+                100, traces, journal_dir=tmp_path / f"fleet-100-{attempt}"
             )
             if (
                 baseline is None
@@ -507,24 +512,24 @@ def test_serve_journal_overhead_and_recovery(benchmark, tmp_path):
         # One flush (write+fsync) per journaled pump round, plus the
         # close; the round records count them (the workload is
         # deterministic, so any attempt's journal gives the count).
-        scan = read_journal(tmp_path / "fleet-100-0.wal")
+        scan = read_journal(shard_journal_path(tmp_path / "fleet-100-0", 0))
         flushes = 1 + sum(
             1 for record in scan.records if record[0] == "round"
         )
         recoveries = []
         for fleet in recovery_fleets:
-            journal = tmp_path / f"recover-{fleet}.wal"
-            report = _drive(fleet, traces, journal=journal)
+            journal_dir = tmp_path / f"recover-{fleet}"
+            report = _drive(fleet, traces, journal_dir=journal_dir)
             started = time.perf_counter()
             service, stats = ConditionService.recover(
-                journal, traces, quota=TenantQuota(max_pending=8),
-                capacity=512,
+                shard_journal_path(journal_dir, 0), traces,
+                quota=TenantQuota(max_pending=8), capacity=512,
             )
             recover_s = time.perf_counter() - started
             service.shutdown()
             assert len(stats.replayed) == report.tickets
             assert response_digest(stats.replayed) == response_digest(
-                report.responses
+                response for _, response in report.responses
             )
             recoveries.append({
                 "fleet": fleet,
@@ -544,7 +549,9 @@ def test_serve_journal_overhead_and_recovery(benchmark, tmp_path):
     # ... and its bookkeeping costs a bounded slice of throughput once
     # the filesystem's own price for durably writing the same bytes in
     # the same number of flushes is credited.
-    journal_bytes = os.path.getsize(tmp_path / "fleet-100-0.wal")
+    journal_bytes = os.path.getsize(
+        shard_journal_path(tmp_path / "fleet-100-0", 0)
+    )
     fsync_s = _fsync_cost_s(
         tmp_path / "fsync-probe.bin", journal_bytes / flushes
     )

@@ -34,7 +34,7 @@ from repro.serve import (
     completion_digest,
     fleet_workload,
     overload_sweep,
-    run_cluster_fleet,
+    run_fleet,
 )
 from repro.traces.library import audio_corpus, human_corpus, robot_corpus
 
@@ -211,7 +211,7 @@ def test_shard_digest_identity(benchmark):
                 traces, shards=shards, quota=TenantQuota(max_pending=8)
             )
             try:
-                reports[shards] = run_cluster_fleet(
+                reports[shards] = run_fleet(
                     cluster, submissions, pump_every=32
                 )
             finally:

@@ -318,133 +318,16 @@ def _serve_traces(duration_s: float) -> Dict[str, Trace]:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Run the deterministic fleet load generator against the service."""
-    from repro.apps import all_applications
-    from repro.errors import ServiceKilled
-    from repro.serve import (
-        ConditionService,
-        LoadSpec,
-        ServiceFaultPlan,
-        TenantQuota,
-        fleet_workload,
-        response_digest,
-        run_fleet,
-        run_fleet_with_recovery,
-    )
-    if args.stream:
-        return _serve_bench_stream(args)
-    if args.shards is not None or args.open_loop is not None:
-        return _serve_bench_cluster(args)
-    if args.kill_shard is not None:
-        print("--kill-shard requires --shards", file=sys.stderr)
-        return 2
-    if (args.kill_after or args.recover) and not args.journal:
-        print("--kill-after / --recover require --journal", file=sys.stderr)
-        return 2
-    duration = 120.0 if args.quick else args.duration
-    traces = _serve_traces(duration)
-    spec = LoadSpec(
-        fleet=args.fleet,
-        seed=args.seed,
-        min_submissions=1,
-        max_submissions=2 if args.quick else 3,
-    )
-    apps = all_applications()
-    submissions = fleet_workload(spec, apps, list(traces.values()))
-    service_kwargs = dict(
-        quota=TenantQuota(max_pending=args.max_pending),
-        capacity=args.capacity,
-        jobs=args.jobs,
-    )
-    cost_model = _load_cost_table(args)
-    context = None
-    if args.no_batch or args.no_shape_batch or cost_model is not None:
-        from repro.sim.engine import RunContext
+    """Run the deterministic fleet load generator against a shard cluster.
 
-        context = RunContext(
-            batch=not args.no_batch,
-            shape_batch=not args.no_shape_batch,
-            cost_model=cost_model,
-        )
-        service_kwargs["context"] = context
-    faults = (
-        ServiceFaultPlan(kill_after_accepts=args.kill_after)
-        if args.kill_after
-        else None
-    )
-    service = ConditionService(
-        traces, journal=args.journal, faults=faults, **service_kwargs
-    )
-    stats = None
-    if args.recover:
-        report, stats, service = run_fleet_with_recovery(
-            service,
-            submissions,
-            traces,
-            args.journal,
-            pump_every=args.pump_every,
-            recover_kwargs=service_kwargs,
-        )
-        service.shutdown()
-    else:
-        try:
-            report = run_fleet(
-                service, submissions, pump_every=args.pump_every
-            )
-        except ServiceKilled as error:
-            print(
-                f"{error}; journal preserved at {args.journal} "
-                "(rerun with --recover to resume)"
-            )
-            return 1
-        finally:
-            service.shutdown()
-    print(
-        f"fleet {args.fleet} devices | workload {len(submissions)} "
-        f"submissions (seed {args.seed})"
-    )
-    print(report.metrics.describe())
-    if stats is not None:
-        print(f"recovery: {stats.describe()}")
-    print(
-        f"wall {report.wall_s:.2f} s | sustained "
-        f"{report.submissions_per_second:,.0f} submissions/s"
-    )
-    if args.digest:
-        print(f"digest {response_digest(report.responses)}")
-    if args.cost_table and context is not None:
-        context.cost_model.save(Path(args.cost_table))
-        print(f"wrote cost table to {args.cost_table}")
-    return 0
-
-
-def _load_cost_table(args: argparse.Namespace):
-    """The calibrated cost model from ``--cost-table``, if the file exists.
-
-    A missing file is not an error: the flag then means "save the model
-    learned during this run here", so the *next* run starts calibrated
-    (tier choices and shape-batching decisions settle without probing).
-    """
-    if not getattr(args, "cost_table", None):
-        return None
-    from repro.hub.costmodel import CostModel
-
-    path = Path(args.cost_table)
-    if path.exists():
-        return CostModel.load(path)
-    return CostModel()
-
-
-def _serve_bench_cluster(args: argparse.Namespace) -> int:
-    """serve-bench over a shard cluster (``--shards`` / ``--open-loop``).
-
-    Closed-loop by default (the cluster analogue of the single-service
-    drive); ``--open-loop RATE`` switches to the Poisson-arrival
-    overload sweep on simulated time.  ``--digest`` prints the
-    **completion digest** — the topology-independent content hash that
-    is equal across shard counts — not the single-service response
-    digest (which bakes in per-shard ticket ids and can only ever
-    match itself).
+    Closed-loop by default over ``ShardCluster(shards=--shards or 1)``;
+    ``--open-loop RATE`` switches to the Poisson-arrival overload sweep
+    on simulated time and ``--stream`` to the streamed-ingestion
+    benchmark.  A journaled run recovers any shard a fault plan kills.
+    ``--digest`` prints the topology-independent **completion digest**
+    (equal across shard counts) and then the **response digest** (ticket
+    ids, latencies and dedup flags included: equal across a kill and
+    recovery on one topology).
     """
     from repro.apps import all_applications
     from repro.serve import (
@@ -454,16 +337,18 @@ def _serve_bench_cluster(args: argparse.Namespace) -> int:
         TenantQuota,
         completion_digest,
         fleet_workload,
-        run_cluster_fleet,
-        run_cluster_fleet_with_recovery,
+        response_digest,
+        run_fleet,
     )
+    if args.stream:
+        return _serve_bench_stream(args)
     shards = args.shards if args.shards is not None else 1
     if args.kill_shard is not None and not (0 <= args.kill_shard < shards):
         print(f"--kill-shard must be in [0, {shards})", file=sys.stderr)
         return 2
-    if args.kill_shard is not None and not args.journal:
-        print("--kill-shard requires --journal (a directory of "
-              "per-shard journals)", file=sys.stderr)
+    if (args.kill_after or args.kill_shard is not None) and not args.journal:
+        print("--kill-after / --kill-shard require --journal (a directory "
+              "of per-shard journals)", file=sys.stderr)
         return 2
     duration = 120.0 if args.quick else args.duration
     traces = _serve_traces(duration)
@@ -501,19 +386,13 @@ def _serve_bench_cluster(args: argparse.Namespace) -> int:
                 kill_pump_phase="store",
             )
         }
+    elif args.kill_after:
+        faults = {0: ServiceFaultPlan(kill_after_accepts=args.kill_after)}
     cluster = ShardCluster(
         traces, journal_dir=args.journal, faults=faults, **cluster_kwargs
     )
-    stats = {}
     try:
-        if args.kill_shard is not None:
-            report, stats = run_cluster_fleet_with_recovery(
-                cluster, submissions, pump_every=args.pump_every
-            )
-        else:
-            report = run_cluster_fleet(
-                cluster, submissions, pump_every=args.pump_every
-            )
+        report = run_fleet(cluster, submissions, pump_every=args.pump_every)
     finally:
         cluster.shutdown()
     print(
@@ -521,18 +400,39 @@ def _serve_bench_cluster(args: argparse.Namespace) -> int:
         f"{len(submissions)} submissions (seed {args.seed})"
     )
     print(report.metrics.describe())
-    for shard in sorted(stats):
-        print(f"shard {shard} recovery: {stats[shard].describe()}")
+    for shard, stats in sorted(report.recoveries.items()):
+        print(f"shard {shard} recovery: {stats.describe()}")
     print(
         f"wall {report.wall_s:.2f} s | sustained "
         f"{report.submissions_per_second:,.0f} submissions/s"
     )
     if args.digest:
         print(f"digest {completion_digest(report.pairs)}")
+        print(
+            "responses "
+            f"{response_digest(response for _, response in report.responses)}"
+        )
     if args.cost_table and cost_model is not None:
         cost_model.save(Path(args.cost_table))
         print(f"wrote cost table to {args.cost_table}")
     return 0
+
+
+def _load_cost_table(args: argparse.Namespace):
+    """The calibrated cost model from ``--cost-table``, if the file exists.
+
+    A missing file is not an error: the flag then means "save the model
+    learned during this run here", so the *next* run starts calibrated
+    (tier choices and shape-batching decisions settle without probing).
+    """
+    if not getattr(args, "cost_table", None):
+        return None
+    from repro.hub.costmodel import CostModel
+
+    path = Path(args.cost_table)
+    if path.exists():
+        return CostModel.load(path)
+    return CostModel()
 
 
 def _serve_bench_stream(args: argparse.Namespace) -> int:
@@ -555,7 +455,7 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
         ShardCluster,
         StreamLoadSpec,
         completion_digest,
-        run_cluster_fleet,
+        run_fleet,
         run_stream_fleet,
         stream_fleet_plan,
         stream_replay_workload,
@@ -606,7 +506,7 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
     traces, submissions = stream_replay_workload(plans)
     replay_cluster = ShardCluster(traces, shards=shards, jobs=args.jobs)
     try:
-        replay = run_cluster_fleet(
+        replay = run_fleet(
             replay_cluster, submissions, pump_every=args.pump_every
         )
     finally:
@@ -885,31 +785,30 @@ def build_parser() -> argparse.ArgumentParser:
                         "exists and save the (updated) model there "
                         "after the run, so tier and shape-batching "
                         "choices start calibrated next time")
-    p.add_argument("--journal", metavar="PATH",
-                   help="write-ahead journal path (enables durability); "
-                        "with --shards, a directory of per-shard "
-                        "journals (shard-00.wal, ...)")
+    p.add_argument("--journal", metavar="DIR",
+                   help="directory of per-shard write-ahead journals "
+                        "(shard-00.wal, ...); enables durability, and "
+                        "any shard a fault plan kills is recovered from "
+                        "its own journal")
     p.add_argument("--kill-after", type=int, metavar="N",
-                   help="fault-inject: kill the service after N accepted "
+                   help="fault-inject: kill shard 0 after N accepted "
                         "submissions (requires --journal); with "
                         "--kill-shard, the pump round the shard dies in")
-    p.add_argument("--recover", action="store_true",
-                   help="recover killed services from the journal and "
-                        "finish the workload (requires --journal)")
     p.add_argument("--digest", action="store_true",
-                   help="print an order-insensitive SHA-256 digest of "
-                        "all terminal responses; with --shards, the "
-                        "topology-independent completion digest "
-                        "(equal across shard counts)")
+                   help="print the topology-independent completion "
+                        "digest (equal across shard counts), then the "
+                        "order-insensitive response digest (equal "
+                        "across kill/recover on one topology); with "
+                        "--stream, the streamed wake-event digest")
     p.add_argument("--shards", type=int, metavar="N",
                    help="serve through a cluster of N rendezvous-routed "
                         "shards, each with its own scheduler, engine "
-                        "context, pool and journal")
+                        "context, pool and journal (default 1)")
     p.add_argument("--kill-shard", type=int, metavar="I",
                    help="fault-inject: kill shard I at pump round "
                         "--kill-after (default 1) and recover it from "
                         "its own journal while the rest keep serving "
-                        "(requires --shards and --journal)")
+                        "(requires --journal)")
     p.add_argument("--open-loop", type=float, metavar="RATE",
                    help="open-loop mode: sweep Poisson arrivals on "
                         "simulated time at multiples of RATE "

@@ -73,7 +73,6 @@ from repro.serve.cluster import (
 )
 from repro.serve.ingest import StreamIngest, StreamSubscriptionState
 from repro.serve.loadgen import (
-    ClusterLoadReport,
     DeviceStreamPlan,
     LoadReport,
     LoadSpec,
@@ -85,10 +84,7 @@ from repro.serve.loadgen import (
     fleet_workload,
     reference_result,
     response_digest,
-    run_cluster_fleet,
-    run_cluster_fleet_with_recovery,
     run_fleet,
-    run_fleet_with_recovery,
     stream_fleet_plan,
     stream_replay_workload,
     submission_content_key,
@@ -132,7 +128,6 @@ __all__ = [
     "AdmissionController",
     "AsyncCluster",
     "Cancelled",
-    "ClusterLoadReport",
     "ClusterMetricsSnapshot",
     "Completed",
     "ConditionService",
@@ -186,10 +181,7 @@ __all__ = [
     "reference_result",
     "response_digest",
     "route_key",
-    "run_cluster_fleet",
-    "run_cluster_fleet_with_recovery",
     "run_fleet",
-    "run_fleet_with_recovery",
     "run_open_loop",
     "run_stream_fleet",
     "shard_journal_path",

@@ -346,6 +346,11 @@ class ShardCluster:
 
     # -- the tenant-facing API ------------------------------------------
 
+    def _shard_down(self, tenant: str, shard: int) -> Rejected:
+        return Rejected(
+            tenant, "shard_down", f"shard {shard} is down pending recovery"
+        )
+
     def submit(self, submission: Submission) -> Routed:
         """Route one submission to its shard and admit it there.
 
@@ -353,19 +358,19 @@ class ShardCluster:
         ``Rejected(reason="shard_down")`` rather than silently routing
         elsewhere — re-routing would break the determinism contract
         (the same key must always land on the same shard) and the
-        recovered shard's journal replay.
+        recovered shard's journal replay.  An accept-time fault-plan
+        kill is caught the way :meth:`pump_shard` catches a pump-time
+        one: the shard joins :attr:`dead_shards` and the killing
+        submission comes back ``shard_down``.
         """
         shard = self._router.route_submission(submission)
         if shard in self._dead:
-            return Routed(
-                shard,
-                Rejected(
-                    submission.tenant,
-                    "shard_down",
-                    f"shard {shard} is down pending recovery",
-                ),
-            )
-        return Routed(shard, self._services[shard].submit(submission))
+            return Routed(shard, self._shard_down(submission.tenant, shard))
+        try:
+            return Routed(shard, self._services[shard].submit(submission))
+        except ServiceKilled as killed:
+            self._dead[shard] = str(killed)
+            return Routed(shard, self._shard_down(submission.tenant, shard))
 
     # -- streaming ingestion --------------------------------------------
 
@@ -403,11 +408,7 @@ class ShardCluster:
             submission.tenant, submission.trace
         )
         if shard in self._dead:
-            return shard, Rejected(
-                submission.tenant,
-                "shard_down",
-                f"shard {shard} is down pending recovery",
-            )
+            return shard, self._shard_down(submission.tenant, shard)
         return shard, self._services[shard].subscribe_stream(submission)
 
     def close_stream(self, tenant: str, stream: str) -> Dict[int, tuple]:

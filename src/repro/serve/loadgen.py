@@ -20,7 +20,6 @@ import pickle
 import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -37,12 +36,11 @@ import numpy as np
 from repro.api.manager import validate_condition
 from repro.apps import all_applications
 from repro.apps.base import SensingApplication
-from repro.errors import ServiceError, ServiceKilled
+from repro.errors import ServiceError
 from repro.power.phone import NEXUS4, PhonePowerProfile
+from repro.serve.cluster import ClusterMetricsSnapshot, Routed, ShardCluster
 from repro.serve.journal import RecoveryStats
-from repro.serve.metrics import MetricsSnapshot
 from repro.serve.scheduler import HUB_CATALOGS
-from repro.serve.service import ConditionService
 from repro.serve.submission import (
     Completed,
     Failed,
@@ -51,7 +49,6 @@ from repro.serve.submission import (
     Response,
     ServeResult,
     Submission,
-    Ticket,
 )
 from repro.sim.configs.sidewinder import Sidewinder
 from repro.sim.simulator import run_wakeup_condition
@@ -379,7 +376,7 @@ def stream_replay_workload(
     Returns the trace registry (every device's assembled stream) and
     the submission list (every plan's subscriptions, as ordinary raw-IL
     submissions over the assembled traces).  Drive these through
-    :func:`run_cluster_fleet` and the
+    :func:`run_fleet` and the
     :func:`completion_digest` of the report's pairs must equal the
     streamed drive's digest — same fleet, same seed, same events.
     """
@@ -388,59 +385,6 @@ def stream_replay_workload(
         submission for plan in plans for submission in plan.submissions
     ]
     return traces, submissions
-
-
-@dataclass
-class LoadReport:
-    """Outcome of driving one workload through a service.
-
-    Attributes:
-        submitted: Submissions offered to the service.
-        tickets: Submissions that were accepted.
-        rejections: Structured admission refusals, in arrival order.
-        responses: Terminal responses, in completion order.
-        by_ticket: Accepted submissions keyed by submission id — what
-            :func:`reference_result` verifies completions against.
-        wall_s: Wall-clock seconds the drive took (submission +
-            scheduling, engine included).
-        metrics: The service's final metrics snapshot.
-    """
-
-    submitted: int = 0
-    tickets: int = 0
-    rejections: List[Rejected] = field(default_factory=list)
-    responses: List[Response] = field(default_factory=list)
-    by_ticket: Dict[int, Submission] = field(default_factory=dict)
-    wall_s: float = 0.0
-    metrics: MetricsSnapshot = None  # type: ignore[assignment]
-
-    @property
-    def completed(self) -> List[Completed]:
-        """Responses that carry a result."""
-        return [r for r in self.responses if isinstance(r, Completed)]
-
-    @property
-    def failed(self) -> List[Failed]:
-        """Responses that carry a structured per-request error."""
-        return [r for r in self.responses if isinstance(r, Failed)]
-
-    @property
-    def submissions_per_second(self) -> float:
-        """Sustained submission throughput over the drive."""
-        return self.submitted / self.wall_s if self.wall_s > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Benchmark-artifact form."""
-        return {
-            "submitted": self.submitted,
-            "accepted": self.tickets,
-            "rejected": len(self.rejections),
-            "completed": len(self.completed),
-            "failed": len(self.failed),
-            "wall_s": self.wall_s,
-            "submissions_per_sec": self.submissions_per_second,
-            "metrics": self.metrics.as_dict() if self.metrics else None,
-        }
 
 
 def reference_result(
@@ -466,37 +410,6 @@ def reference_result(
     return tuple(
         run_wakeup_condition(graph, trace, submission.chunk_seconds)
     )
-
-
-def run_fleet(
-    service: ConditionService,
-    submissions: Sequence[Submission],
-    pump_every: int = 32,
-) -> LoadReport:
-    """Drive a workload through a service, interleaving pumps.
-
-    Pumping every ``pump_every`` submissions keeps the bounded queue
-    from saturating into pure rejection while still giving the
-    scheduler full batches to coalesce — the steady-state a real
-    backend runs in.  Ends with a full drain, so every accepted
-    submission reaches a terminal response.
-    """
-    report = LoadReport()
-    started = time.perf_counter()
-    for i, submission in enumerate(submissions):
-        outcome = service.submit(submission)
-        report.submitted += 1
-        if isinstance(outcome, Rejected):
-            report.rejections.append(outcome)
-        else:
-            report.tickets += 1
-            report.by_ticket[outcome.submission_id] = submission
-        if (i + 1) % max(1, pump_every) == 0:
-            report.responses.extend(service.pump())
-    report.responses.extend(service.drain())
-    report.wall_s = time.perf_counter() - started
-    report.metrics = service.metrics()
-    return report
 
 
 def response_digest(responses: Iterable[Response]) -> str:
@@ -589,34 +502,50 @@ def completion_digest(
 
 
 @dataclass
-class ClusterLoadReport:
+class LoadReport:
     """Outcome of driving one workload through a shard cluster.
+
+    Submission ids are per-shard counters, so every ticket is keyed by
+    ``(shard, submission_id)``.
 
     Attributes:
         submitted: Submissions offered to the cluster.
-        tickets: Submissions some shard accepted.
-        rejections: ``(shard, rejection)`` refusals, in arrival order.
-        responses: ``(shard, response)`` terminal responses, in
-            completion order.
-        by_ticket: Accepted submissions keyed by their *global* key —
-            ``(shard, submission_id)`` — since shard id counters are
-            independent.
-        wall_s: Wall-clock seconds the drive took.
+        rejections: ``(shard, rejection)`` admission refusals, in
+            arrival order.
+        responses: ``(shard, response)`` terminal responses, one per
+            accepted ticket, in ``(shard, submission_id)`` order.
+        by_ticket: Accepted submissions keyed by ``(shard,
+            submission_id)`` — what :func:`reference_result` verifies
+            completions against.
+        recoveries: Each fault-killed shard's last
+            :class:`~repro.serve.journal.RecoveryStats`.
+        wall_s: Wall-clock seconds the drive took (submission,
+            scheduling and recovery, engine included).
         metrics: The cluster's final merged + per-shard snapshot.
     """
 
     submitted: int = 0
-    tickets: int = 0
     rejections: List[Tuple[int, Rejected]] = field(default_factory=list)
     responses: List[Tuple[int, Response]] = field(default_factory=list)
     by_ticket: Dict[Tuple[int, int], Submission] = field(default_factory=dict)
+    recoveries: Dict[int, RecoveryStats] = field(default_factory=dict)
     wall_s: float = 0.0
-    metrics: object = None  # ClusterMetricsSnapshot
+    metrics: Optional[ClusterMetricsSnapshot] = None
+
+    @property
+    def tickets(self) -> int:
+        """Submissions some shard accepted."""
+        return len(self.by_ticket)
 
     @property
     def completed(self) -> List[Completed]:
         """Responses that carry a result, across shards."""
         return [r for _, r in self.responses if isinstance(r, Completed)]
+
+    @property
+    def failed(self) -> List[Failed]:
+        """Responses that carry a structured per-request error."""
+        return [r for _, r in self.responses if isinstance(r, Failed)]
 
     @property
     def pairs(self) -> List[Tuple[Submission, Response]]:
@@ -638,252 +567,129 @@ class ClusterLoadReport:
             "accepted": self.tickets,
             "rejected": len(self.rejections),
             "completed": len(self.completed),
+            "failed": len(self.failed),
             "wall_s": self.wall_s,
             "submissions_per_sec": self.submissions_per_second,
             "metrics": self.metrics.as_dict() if self.metrics else None,
         }
 
 
-def run_cluster_fleet(
-    cluster: "ShardCluster",
+def run_fleet(
+    cluster: ShardCluster,
     submissions: Sequence[Submission],
     pump_every: int = 32,
-) -> ClusterLoadReport:
-    """Drive a workload through a cluster, interleaving cluster pumps.
+) -> LoadReport:
+    """Drive a workload through a cluster, recovering any killed shard.
 
-    The cluster analogue of :func:`run_fleet`: same closed-loop shape
-    (submit ``pump_every``, pump, repeat, then drain), but each pump is
-    one concurrent scheduling round across every shard.  Per-shard
-    pump cadence therefore *scales with the shard count* — N shards
-    consume up to ``N × batch_size`` submissions per boundary — which
-    is exactly the capacity model the throughput benchmark measures.
+    Closed loop: submit ``pump_every`` submissions, run one scheduling
+    round on every shard (:meth:`ShardCluster.pump`), repeat, then pump
+    until every queue is empty, so every accepted submission reaches a
+    terminal response.  Per-shard pump cadence therefore scales with
+    the shard count — N shards consume up to ``N × batch_size``
+    submissions per boundary.
+
+    When a submit or a pump kills a shard (its
+    :class:`~repro.serve.faults.ServiceFaultPlan` fired), the driver
+    rebuilds that shard from its own journal
+    (:meth:`ShardCluster.recover_shard`) and replays *its* schedule —
+    its routed submissions in order and a pump at every boundary — from
+    its resume point: the later of the submission after its last
+    durable accept and the boundary after its last durable round.  The
+    restored ticket counter, clock and quota state re-decide everything
+    the crash forgot identically, so tickets, rejections and responses
+    equal the uninterrupted run's on the same topology, and no other
+    shard is touched.
     """
-    report = ClusterLoadReport()
+    every = max(1, pump_every)
+    report = LoadReport(submitted=len(submissions))
     started = time.perf_counter()
-    for i, submission in enumerate(submissions):
-        routed = cluster.submit(submission)
-        report.submitted += 1
-        if isinstance(routed.response, Rejected):
-            report.rejections.append((routed.shard, routed.response))
-        else:
-            report.tickets += 1
-            report.by_ticket[
-                (routed.shard, routed.response.submission_id)
-            ] = submission
-        if (i + 1) % max(1, pump_every) == 0:
-            for shard, responses in cluster.pump().items():
-                report.responses.extend(
-                    (shard, response) for response in responses
-                )
-    for shard, responses in cluster.drain().items():
-        report.responses.extend((shard, response) for response in responses)
-    report.wall_s = time.perf_counter() - started
-    report.metrics = cluster.metrics()
-    return report
-
-
-def run_cluster_fleet_with_recovery(
-    cluster: "ShardCluster",
-    submissions: Sequence[Submission],
-    pump_every: int = 32,
-) -> Tuple[ClusterLoadReport, Dict[int, RecoveryStats]]:
-    """Drive a cluster whose shards may be fault-killed at pump time.
-
-    Behaves exactly like :func:`run_cluster_fleet` when no fault plan
-    fires.  When a shard's :class:`~repro.serve.faults.ServiceFaultPlan`
-    kills it during a pump (the cluster marks it dead instead of
-    propagating), the driver immediately rebuilds that shard from its
-    own journal via :meth:`ShardCluster.recover_shard` — the other
-    shards never notice.  Durable completions the crash re-answered
-    and the interrupted round's re-executed responses come out of
-    :class:`~repro.serve.journal.RecoveryStats`; responses are keyed
-    by ``(shard, submission_id)``, so a re-answered response simply
-    overwrites its (bit-identical) original.
-
-    Only **pump-phase** kills are supported here: an accept-time kill
-    raises out of ``submit`` before routing bookkeeping completes and
-    needs the single-shard :func:`run_fleet_with_recovery` resume
-    logic instead.
-
-    Returns:
-        ``(report, stats_by_shard)`` — the merged report (one response
-        per accepted ticket) and each recovered shard's last
-        :class:`RecoveryStats`.
-    """
-    report = ClusterLoadReport()
-    started = time.perf_counter()
+    # Stream index -> (shard, submission id or rejection); a recovery
+    # re-drives one shard's entries from its resume point on.
+    outcomes: Dict[int, Tuple[int, Union[int, Rejected]]] = {}
+    index_of: Dict[Tuple[int, int], int] = {}
     responses: Dict[Tuple[int, int], Response] = {}
-    stats_by_shard: Dict[int, RecoveryStats] = {}
+    # Per shard, the stream indices of the boundaries at which its
+    # queue was non-empty.  Queue occupancy is deterministic, so the
+    # shard journal's r-th round record is the r-th index here.
+    busy: Dict[int, List[int]] = {shard: [] for shard in range(cluster.shards)}
 
-    def record(shard: int, batch: Sequence[Response]) -> None:
+    def record(shard: int, batch: Iterable[Response]) -> None:
         for response in batch:
             responses[(shard, response.ticket.submission_id)] = response
 
-    def recover_dead() -> None:
-        for shard in cluster.dead_shards:
-            stats = cluster.recover_shard(shard)
-            stats_by_shard[shard] = stats
-            record(shard, stats.replayed)
-            record(shard, stats.reexecuted)
+    def admit(index: int, routed: Routed) -> None:
+        outcome = routed.response
+        if routed.accepted:
+            outcome = outcome.submission_id
+            index_of[(routed.shard, outcome)] = index
+        outcomes[index] = (routed.shard, outcome)
 
-    for i, submission in enumerate(submissions):
-        routed = cluster.submit(submission)
-        report.submitted += 1
-        if isinstance(routed.response, Rejected):
-            report.rejections.append((routed.shard, routed.response))
-        else:
-            report.tickets += 1
-            report.by_ticket[
-                (routed.shard, routed.response.submission_id)
-            ] = submission
-        if (i + 1) % max(1, pump_every) == 0:
-            for shard, batch in cluster.pump().items():
-                record(shard, batch)
-            recover_dead()
-    while any(
-        cluster.shard(shard).queue_depth
-        for shard in range(cluster.shards)
-        if shard not in cluster.dead_shards
-    ):
+    def mark(index: int, shard: int) -> None:
+        if cluster.shard(shard).queue_depth:
+            busy[shard].append(index)
+
+    def recover(shard: int, stop: int) -> None:
+        # Rebuild the shard, then replay its schedule from its resume
+        # point through submission ``stop`` (the boundary after it is
+        # the caller's): everything the crash forgot is re-driven, while
+        # rounds that already ran are never re-fired.  No boundary in
+        # that range ran a round on the shard (it would be durable), so
+        # ``busy`` needs no rewind, and re-driving a submission
+        # overwrites its recorded outcome with the identical one.
+        stats = cluster.recover_shard(shard)
+        report.recoveries[shard] = stats
+        record(shard, stats.replayed)
+        record(shard, stats.reexecuted)
+        marks = busy[shard]
+        if stats.rounds > len(marks):
+            return  # The extra rounds ran while draining, past the stream.
+        last = stats.next_id - 1
+        if last and (shard, last) not in index_of:
+            # Only the killing accept can be durable yet unrecorded: the
+            # torn tail spared its whole record, so its ticket stands.
+            index_of[(shard, last)] = stop
+            outcomes[stop] = (shard, last)
+        resume = index_of.get((shard, last), -1) + 1
+        if stats.rounds:
+            resume = max(resume, marks[stats.rounds - 1] + 1)
+        for index in range(resume, stop + 1):
+            submission = submissions[index]
+            if cluster.router.route_submission(submission) == shard:
+                admit(index, cluster.submit(submission))
+            if (index + 1) % every == 0 and index < stop:
+                mark(index, shard)
+                record(shard, cluster.pump_shard(shard))
+
+    def pump(stop: int) -> None:
         for shard, batch in cluster.pump().items():
             record(shard, batch)
-        recover_dead()
+        # A pump-time kill fires after its round is durable, so the
+        # killed shard resumes past this boundary.
+        for shard in cluster.dead_shards:
+            recover(shard, stop)
 
-    report.responses = [
-        (shard, responses[(shard, sid)])
-        for shard, sid in sorted(responses)
-    ]
+    for index, submission in enumerate(submissions):
+        routed = cluster.submit(submission)
+        if routed.shard in cluster.dead_shards:
+            recover(routed.shard, index)  # An accept-time kill.
+        else:
+            admit(index, routed)
+        if (index + 1) % every == 0:
+            for shard in range(cluster.shards):
+                mark(index, shard)
+            pump(index)
+    while any(
+        cluster.shard(shard).queue_depth for shard in range(cluster.shards)
+    ):
+        pump(len(submissions) - 1)
+
+    for index in sorted(outcomes):
+        shard, outcome = outcomes[index]
+        if isinstance(outcome, Rejected):
+            report.rejections.append((shard, outcome))
+        else:
+            report.by_ticket[(shard, outcome)] = submissions[index]
+    report.responses = [(key[0], responses[key]) for key in sorted(responses)]
     report.wall_s = time.perf_counter() - started
     report.metrics = cluster.metrics()
-    return report, stats_by_shard
-
-
-def run_fleet_with_recovery(
-    service: ConditionService,
-    submissions: Sequence[Submission],
-    traces: Mapping[str, Trace],
-    journal: Union[str, Path],
-    pump_every: int = 32,
-    recover_kwargs: Optional[Dict[str, object]] = None,
-) -> Tuple[LoadReport, Optional[RecoveryStats], ConditionService]:
-    """Drive a workload through a crash-prone service, recovering kills.
-
-    Behaves exactly like :func:`run_fleet` against a service whose
-    fault plan never fires.  When the service's
-    :class:`~repro.serve.faults.ServiceFaultPlan` kills it
-    (:class:`~repro.errors.ServiceKilled`), the driver rebuilds a
-    service with :meth:`ConditionService.recover` and **resumes the
-    stream right after the last durable accept** — the submissions the
-    crash forgot are re-driven through the recovered service, which
-    (by the restored ticket counter, clock and quota state) hands out
-    the same ticket ids and produces bit-identical responses and
-    rejections.  Pump cadence is keyed to the global stream index, so
-    resumed pumping stays aligned with the uninterrupted run.
-
-    Args:
-        service: The (possibly fault-planned) service to drive first.
-        submissions: The full workload, in arrival order.
-        traces: Trace registry for :meth:`ConditionService.recover`.
-        journal: The journal path the service writes (and recovery
-            reads).
-        pump_every: Pump cadence over the global stream index.
-        recover_kwargs: Extra keyword arguments for ``recover`` (quota,
-            capacity, jobs, ... — pass the service's construction
-            parameters so the rebuilt shard matches).
-
-    Returns:
-        ``(report, stats, service)`` — the merged load report (one
-        response per accepted ticket), the last recovery's stats
-        (``None`` when no kill fired), and the service left running at
-        the end (callers own its shutdown).
-    """
-    kwargs = dict(recover_kwargs or {})
-    report = LoadReport()
-    started = time.perf_counter()
-    svc = service
-    stats: Optional[RecoveryStats] = None
-    ticket_by_index: Dict[int, Ticket] = {}
-    rejection_by_index: Dict[int, Rejected] = {}
-    submission_by_index: Dict[int, Submission] = {}
-    sid_to_index: Dict[int, int] = {}
-    responses_by_sid: Dict[int, Response] = {}
-    # Global stream indices at which a *non-empty* pump ran.  Queue
-    # occupancy at a boundary is deterministic, so the journal's r-th
-    # round record corresponds to the r-th smallest index here — which
-    # is how recovery knows not to re-fire a boundary whose round is
-    # already durable.
-    pump_boundaries: set = set()
-
-    def recovered() -> Tuple[ConditionService, int]:
-        nonlocal stats
-        new_svc, stats = ConditionService.recover(journal, traces, **kwargs)
-        for response in (*stats.replayed, *stats.reexecuted):
-            responses_by_sid[response.ticket.submission_id] = response
-        # Resume right after the last durable accept AND the last
-        # durable round's boundary; everything the crash forgot is
-        # re-driven (and re-decided identically), while rounds that
-        # already ran are never re-fired.
-        last_sid = stats.next_id - 1
-        resume = sid_to_index[last_sid] + 1 if last_sid in sid_to_index else 0
-        boundaries = sorted(pump_boundaries)
-        if stats.rounds > len(boundaries):
-            # The extra rounds ran inside drain(), past the stream —
-            # the whole stream is already driven.
-            resume = len(submissions)
-        elif stats.rounds > 0:
-            resume = max(resume, boundaries[stats.rounds - 1] + 1)
-        for index in [k for k in ticket_by_index if k >= resume]:
-            sid = ticket_by_index.pop(index).submission_id
-            sid_to_index.pop(sid, None)
-            responses_by_sid.pop(sid, None)
-        for index in [k for k in rejection_by_index if k >= resume]:
-            del rejection_by_index[index]
-        return new_svc, resume
-
-    i = 0
-    while i < len(submissions):
-        submission = submissions[i]
-        try:
-            outcome = svc.submit(submission)
-        except ServiceKilled:
-            svc, i = recovered()
-            continue
-        submission_by_index[i] = submission
-        if isinstance(outcome, Rejected):
-            rejection_by_index[i] = outcome
-        else:
-            ticket_by_index[i] = outcome
-            sid_to_index[outcome.submission_id] = i
-        if (i + 1) % max(1, pump_every) == 0:
-            if svc.queue_depth:
-                pump_boundaries.add(i)
-            try:
-                for response in svc.pump():
-                    responses_by_sid[response.ticket.submission_id] = response
-            except ServiceKilled:
-                svc, i = recovered()
-                continue
-        i += 1
-    while True:
-        try:
-            for response in svc.drain():
-                responses_by_sid[response.ticket.submission_id] = response
-            break
-        except ServiceKilled:
-            svc, _ = recovered()
-
-    report.submitted = len(submissions)
-    report.tickets = len(ticket_by_index)
-    report.rejections = [
-        rejection_by_index[k] for k in sorted(rejection_by_index)
-    ]
-    report.by_ticket = {
-        ticket_by_index[k].submission_id: submission_by_index[k]
-        for k in ticket_by_index
-    }
-    report.responses = [
-        responses_by_sid[sid] for sid in sorted(responses_by_sid)
-    ]
-    report.wall_s = time.perf_counter() - started
-    report.metrics = svc.metrics()
-    return report, stats, svc
+    return report

@@ -1,12 +1,13 @@
 """Open-loop arrival load generation and the overload sweep.
 
-:func:`~repro.serve.loadgen.run_fleet` is *closed-loop*: the driver
-submits a block, waits for the pump, submits the next block — so the
-offered load implicitly adapts to service speed and the queue can
-never really overflow.  Real fleets are **open-loop**: devices submit
-on their own schedule whether or not the backend keeps up, and the
-interesting regime is exactly where it does not — tail latency and
-goodput as offered load crosses capacity.
+:func:`~repro.serve.loadgen.run_fleet` is *closed-loop*: it submits a
+block to a :class:`~repro.serve.cluster.ShardCluster`, pumps every
+shard, submits the next block — so the offered load implicitly adapts
+to service speed and the queue can never really overflow.  Real
+fleets are **open-loop**: devices submit on their own schedule whether
+or not the backend keeps up, and the interesting regime is exactly
+where it does not — tail latency and goodput as offered load crosses
+capacity.
 
 This module drives a :class:`~repro.serve.cluster.ShardCluster` with
 Poisson arrivals (exponential inter-arrival times from a seeded RNG,

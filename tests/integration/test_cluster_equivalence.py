@@ -17,13 +17,12 @@ from repro.serve import (
     AsyncCluster,
     Completed,
     LoadSpec,
+    Rejected,
     ServiceFaultPlan,
     ShardCluster,
     TenantQuota,
     completion_digest,
     fleet_workload,
-    run_cluster_fleet,
-    run_cluster_fleet_with_recovery,
     run_fleet,
     submission_content_key,
 )
@@ -47,7 +46,7 @@ def _drive(registry, workload, shards, **kwargs):
         registry, shards=shards, quota=TenantQuota(max_pending=8), **kwargs
     )
     try:
-        return run_cluster_fleet(cluster, workload, pump_every=16)
+        return run_fleet(cluster, workload, pump_every=16)
     finally:
         cluster.shutdown()
 
@@ -77,19 +76,28 @@ class TestTopologyEquivalence:
     def test_cluster_matches_plain_service(
         self, registry, workload, reference_digest
     ):
-        # The single-service path (no router, no cluster) grounds the
-        # chain: cluster(1) == cluster(4) == ConditionService.
+        # The bare service (no router, no cluster, no fleet driver)
+        # grounds the chain: cluster(1) == cluster(4) == ConditionService.
         service = ConditionService(
             registry, quota=TenantQuota(max_pending=8)
         )
+        by_ticket = {}
+        responses = []
         try:
-            report = run_fleet(service, workload, pump_every=16)
+            for index, submission in enumerate(workload):
+                outcome = service.submit(submission)
+                if not isinstance(outcome, Rejected):
+                    by_ticket[outcome.submission_id] = submission
+                if (index + 1) % 16 == 0:
+                    responses.extend(service.pump())
+            responses.extend(service.drain())
         finally:
             service.shutdown()
         pairs = [
-            (report.by_ticket[response.ticket.submission_id], response)
-            for response in report.responses
+            (by_ticket[response.ticket.submission_id], response)
+            for response in responses
         ]
+        assert len(pairs) == len(by_ticket)
         assert completion_digest(pairs) == reference_digest
 
     def test_digest_sees_result_content(self, registry, workload):
@@ -134,13 +142,11 @@ class TestKillRecoverEquivalence:
             },
         )
         try:
-            report, stats = run_cluster_fleet_with_recovery(
-                cluster, workload, pump_every=16
-            )
+            report = run_fleet(cluster, workload, pump_every=16)
         finally:
             cluster.shutdown()
         # The shard really died and really recovered ...
-        assert set(stats) == {1}
+        assert set(report.recoveries) == {1}
         assert cluster.dead_shards == ()
         # ... and recovery changed nothing the fleet can observe.
         assert completion_digest(report.pairs) == reference_digest
@@ -158,12 +164,10 @@ class TestKillRecoverEquivalence:
             faults={1: ServiceFaultPlan(kill_at_pump=1)},
         )
         try:
-            _, stats = run_cluster_fleet_with_recovery(
-                cluster, workload, pump_every=16
-            )
+            report = run_fleet(cluster, workload, pump_every=16)
         finally:
             cluster.shutdown()
-        assert len(stats[1].replayed) > 0
+        assert len(report.recoveries[1].replayed) > 0
 
 
 class TestAsyncEquivalence:

@@ -17,6 +17,7 @@ from repro.serve import (
     Failed,
     LoadSpec,
     Rejected,
+    ShardCluster,
     Submission,
     TenantQuota,
     Ticket,
@@ -84,29 +85,30 @@ def test_fleet_with_rejections_stays_bit_identical(registry):
     submissions = fleet_workload(
         spec, all_applications(), list(registry.values())
     )
-    svc = ConditionService(
+    cluster = ShardCluster(
         registry, quota=TenantQuota(max_pending=2, max_submissions=3)
     )
     try:
         # A large pump interval lets per-tenant pending counts build up,
         # so the quota actually bites mid-stream.
-        report = run_fleet(svc, submissions, pump_every=64)
+        report = run_fleet(cluster, submissions, pump_every=64)
     finally:
-        svc.shutdown()
+        cluster.shutdown()
 
     assert report.submitted == len(submissions)
     # The interesting regime really occurred: rejections (quota and/or
     # budget) interleaved with accepted-and-completed work, plus some
     # structured per-request failures from invalid IL.
-    reasons = {r.reason for r in report.rejections}
+    reasons = {r.reason for _, r in report.rejections}
     assert reasons & {"tenant_quota", "tenant_budget"}
     assert report.completed
     assert report.failed
     assert report.tickets == len(report.responses)
 
     dedup = 0
-    for response in report.completed:
-        submission = report.by_ticket[response.ticket.submission_id]
+    for submission, response in report.pairs:
+        if not isinstance(response, Completed):
+            continue
         assert response.result == reference_result(submission, registry), (
             submission,
         )
@@ -141,23 +143,22 @@ def test_batching_on_and_off_bit_identical(registry):
         submissions = fleet_workload(
             spec, all_applications(), list(fleet_registry.values())
         )
-        svc = ConditionService(
-            fleet_registry, context=RunContext(batch=batch)
+        cluster = ShardCluster(
+            fleet_registry, context_factory=lambda: RunContext(batch=batch)
         )
         try:
-            report = run_fleet(svc, submissions, pump_every=16)
-            metrics = svc.metrics()
+            report = run_fleet(cluster, submissions, pump_every=16)
         finally:
-            svc.shutdown()
-        return report, metrics
+            cluster.shutdown()
+        return report, report.metrics.merged
 
     batched, batched_metrics = drive(batch=True)
     plain, plain_metrics = drive(batch=False)
     assert response_digest(batched.responses) == response_digest(
         plain.responses
     )
-    assert [r.ticket for r in batched.responses] == [
-        r.ticket for r in plain.responses
+    assert [r.ticket for _, r in batched.responses] == [
+        r.ticket for _, r in plain.responses
     ]
     # Batching genuinely engaged on the batched shard only.
     assert batched_metrics.batch_rounds > 0
@@ -209,23 +210,28 @@ def test_shape_batching_on_and_off_bit_identical(registry):
     shape = shape_signature(validate_program(parse_program(tenant_il(0))))
 
     def drive(shape_batch):
-        context = RunContext(shape_batch=shape_batch)
-        context.cost_model = CostModel(table={shape: "compiled"})
-        svc = ConditionService(registry, context=context)
+        cluster = ShardCluster(
+            registry,
+            context_factory=lambda: RunContext(
+                shape_batch=shape_batch,
+                cost_model=CostModel(table={shape: "compiled"}),
+            ),
+        )
         try:
-            report = run_fleet(svc, list(submissions), pump_every=len(submissions))
-            metrics = svc.metrics()
+            report = run_fleet(
+                cluster, list(submissions), pump_every=len(submissions)
+            )
         finally:
-            svc.shutdown()
-        return report, metrics
+            cluster.shutdown()
+        return report, report.metrics.merged
 
     shaped, shaped_metrics = drive(shape_batch=True)
     plain, plain_metrics = drive(shape_batch=False)
     assert response_digest(shaped.responses) == response_digest(
         plain.responses
     )
-    assert [r.ticket for r in shaped.responses] == [
-        r.ticket for r in plain.responses
+    assert [r.ticket for _, r in shaped.responses] == [
+        r.ticket for _, r in plain.responses
     ]
     # Shape batching genuinely engaged on the enabled shard only.
     assert shaped_metrics.shape_rounds > 0
@@ -244,13 +250,13 @@ def test_same_seed_same_outcome(registry):
         submissions = fleet_workload(
             spec, all_applications(), list(registry.values())
         )
-        svc = ConditionService(registry, quota=TenantQuota(max_pending=2))
+        cluster = ShardCluster(registry, quota=TenantQuota(max_pending=2))
         try:
-            report = run_fleet(svc, submissions, pump_every=16)
+            report = run_fleet(cluster, submissions, pump_every=16)
         finally:
-            svc.shutdown()
+            cluster.shutdown()
         outcomes = []
-        for response in report.responses:
+        for _, response in report.responses:
             if isinstance(response, Completed):
                 outcomes.append(
                     ("ok", response.ticket.submission_id, response.dedup,
@@ -261,10 +267,8 @@ def test_same_seed_same_outcome(registry):
                     ("fail", response.ticket.submission_id,
                      response.error_type)
                 )
-        rejections = [(r.tenant, r.reason) for r in report.rejections]
-        results = [
-            r.result for r in report.responses if isinstance(r, Completed)
-        ]
+        rejections = [(r.tenant, r.reason) for _, r in report.rejections]
+        results = [r.result for r in report.completed]
         return outcomes, rejections, results
 
     first = drive()

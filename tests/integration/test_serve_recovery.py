@@ -2,11 +2,12 @@
 
 The acceptance bar for the durability tier: for any planned kill point
 — after an accept, at any pump phase, with or without a torn journal
-tail — the union of pre-crash responses and post-recovery responses
-must be bit-identical to the uninterrupted run's, quota rejections
-included.  A damaged journal recovers its longest valid prefix; a
-restart can never reset tenant budgets; a stalled or journal-broken
-shard degrades deterministically and sheds bulk work.
+tail, on any shard of the cluster — the union of pre-crash responses
+and post-recovery responses must be bit-identical to the uninterrupted
+run's on the same topology, quota rejections included.  A damaged
+journal recovers its longest valid prefix; a restart can never reset
+tenant budgets; a stalled or journal-broken shard degrades
+deterministically and sheds bulk work.
 """
 
 import pytest
@@ -21,13 +22,14 @@ from repro.serve import (
     LoadSpec,
     Rejected,
     ServiceFaultPlan,
+    ShardCluster,
     Submission,
     TenantQuota,
     fleet_workload,
     read_journal,
     response_digest,
     run_fleet,
-    run_fleet_with_recovery,
+    shard_journal_path,
 )
 
 QUOTA = TenantQuota(max_pending=2)
@@ -40,13 +42,30 @@ def registry(robot_trace, quiet_robot_trace, audio_trace):
     return {trace.name: trace for trace in traces}
 
 
+def _drive(registry, submissions, shards, journal_dir=None, faults=None):
+    cluster = ShardCluster(
+        registry, quota=QUOTA, shards=shards, journal_dir=journal_dir,
+        faults=faults,
+    )
+    try:
+        return run_fleet(cluster, submissions, pump_every=PUMP_EVERY)
+    finally:
+        cluster.shutdown()
+
+
+def _responses(report):
+    return [response for _, response in report.responses]
+
+
 @pytest.fixture(scope="module")
 def bundle(registry):
-    """Per-seed (workload, uninterrupted reference run), computed once."""
-    cache = {}
+    """Per-(seed, shards) (workload, uninterrupted reference run),
+    computed once."""
+    workloads = {}
+    references = {}
 
-    def get(seed):
-        if seed not in cache:
+    def get(seed, shards=1):
+        if seed not in workloads:
             spec = LoadSpec(
                 fleet=24,
                 seed=seed,
@@ -55,17 +74,14 @@ def bundle(registry):
                 il_fraction=0.15,
                 invalid_fraction=0.1,
             )
-            submissions = fleet_workload(
+            workloads[seed] = fleet_workload(
                 spec, all_applications(), list(registry.values())
             )
-            svc = ConditionService(registry, quota=QUOTA)
-            try:
-                report = run_fleet(svc, submissions, pump_every=PUMP_EVERY)
-            finally:
-                svc.shutdown()
+        if (seed, shards) not in references:
+            report = _drive(registry, workloads[seed], shards)
             assert report.rejections, "workload must exercise rejections"
-            cache[seed] = (submissions, report)
-        return cache[seed]
+            references[(seed, shards)] = report
+        return workloads[seed], references[(seed, shards)]
 
     return get
 
@@ -79,17 +95,6 @@ def workload(bundle):
 def reference(bundle):
     """The uninterrupted run every crashed run must reproduce."""
     return bundle(5)[1]
-
-
-def _drive_with_kill(registry, workload, journal, plan):
-    svc = ConditionService(registry, quota=QUOTA, journal=journal, faults=plan)
-    report, stats, svc = run_fleet_with_recovery(
-        svc, workload, registry, journal,
-        pump_every=PUMP_EVERY,
-        recover_kwargs=dict(quota=QUOTA),
-    )
-    svc.shutdown()
-    return report, stats
 
 
 def _plan_id(plan):
@@ -108,41 +113,63 @@ KILL_PLANS = [
     ServiceFaultPlan(kill_at_pump=2, kill_pump_phase="store"),
 ]
 
-#: Seeds × kill points: the full plan battery on the main workload,
-#: and a kill per category on a second seeded workload so the
-#: equivalence is a property of the mechanism, not one stream.
-SCENARIOS = [(5, plan) for plan in KILL_PLANS] + [
-    (11, ServiceFaultPlan(kill_after_accepts=13)),
-    (11, ServiceFaultPlan(kill_at_pump=1, kill_pump_phase="store",
-                          torn_tail_bytes=21)),
-    (11, ServiceFaultPlan(kill_at_pump=0, kill_pump_phase="end")),
+#: Seeds × kill points on one shard: the full plan battery on the main
+#: workload, and a kill per category on a second seeded workload so
+#: the equivalence is a property of the mechanism, not one stream.
+SCENARIOS = [(5, 1, 0, plan) for plan in KILL_PLANS] + [
+    (11, 1, 0, ServiceFaultPlan(kill_after_accepts=13)),
+    (11, 1, 0, ServiceFaultPlan(kill_at_pump=1, kill_pump_phase="store",
+                                torn_tail_bytes=21)),
+    (11, 1, 0, ServiceFaultPlan(kill_at_pump=0, kill_pump_phase="end")),
+    # A tail long enough to land whole accept records past the last
+    # round: the resume point is the last durable accept, not a round.
+    (5, 1, 0, ServiceFaultPlan(kill_after_accepts=20, torn_tail_bytes=800)),
+]
+
+#: Kills on a non-zero shard of four: the victim's own schedule is
+#: replayed while the other shards keep serving.  A 4-way split gives
+#: each shard 8–16 tickets of these workloads, so accept kills stay
+#: well below that.  On seed 7, shard 3's second round follows a quota
+#: rejection after its last accept, so its kill resumes past that
+#: durable round rather than after the last durable accept.
+CLUSTER_SCENARIOS = [
+    (5, 4, 1, ServiceFaultPlan(kill_after_accepts=3)),
+    (5, 4, 3, ServiceFaultPlan(kill_after_accepts=6, torn_tail_bytes=33)),
+    (7, 4, 3, ServiceFaultPlan(kill_after_accepts=11)),
+    (5, 4, 1, ServiceFaultPlan(kill_at_pump=1, kill_pump_phase="end",
+                               torn_tail_bytes=48)),
+    # A "tail" covering the whole buffer makes the killing accept itself
+    # durable: its ticket stands and the submission is not re-driven.
+    (5, 4, 3, ServiceFaultPlan(kill_after_accepts=6, torn_tail_bytes=1 << 16)),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed, plan", SCENARIOS,
+    "seed, shards, victim, plan", SCENARIOS + CLUSTER_SCENARIOS,
     ids=lambda value: (
         _plan_id(value) if isinstance(value, ServiceFaultPlan)
-        else f"seed{value}"
+        else str(value)
     ),
 )
 def test_kill_anywhere_recovers_bit_identically(
-    registry, bundle, tmp_path, seed, plan
+    registry, bundle, tmp_path, seed, shards, victim, plan
 ):
-    workload, reference = bundle(seed)
-    report, stats = _drive_with_kill(
-        registry, workload, tmp_path / "shard.wal", plan
+    workload, reference = bundle(seed, shards)
+    report = _drive(
+        registry, workload, shards, journal_dir=tmp_path,
+        faults={victim: plan},
     )
-    assert stats is not None, "the kill must actually fire"
+    assert set(report.recoveries) == {victim}, "the kill must actually fire"
+    stats = report.recoveries[victim]
     # The union of pre-crash and post-recovery responses equals the
     # uninterrupted run's responses as a multiset of bytes...
-    assert response_digest(report.responses) == response_digest(
-        reference.responses
+    assert response_digest(_responses(report)) == response_digest(
+        _responses(reference)
     )
     # ... and the interleaved admission decisions replayed identically,
     # quota rejections included.
-    assert [(r.tenant, r.reason) for r in report.rejections] == [
-        (r.tenant, r.reason) for r in reference.rejections
+    assert [(s, r.tenant, r.reason) for s, r in report.rejections] == [
+        (s, r.tenant, r.reason) for s, r in reference.rejections
     ]
     assert report.tickets == reference.tickets
     if plan.torn_tail_bytes and stats.truncated_bytes:
@@ -154,26 +181,23 @@ def test_restart_reanswers_everything_bit_identically(
 ):
     """A clean restart from the journal re-answers every completed
     submission without touching the engine."""
-    journal = tmp_path / "shard.wal"
-    svc = ConditionService(registry, quota=QUOTA, journal=journal)
-    try:
-        report = run_fleet(svc, workload, pump_every=PUMP_EVERY)
-    finally:
-        svc.shutdown()
-    assert response_digest(report.responses) == response_digest(
-        reference.responses
+    report = _drive(registry, workload, shards=1, journal_dir=tmp_path)
+    assert response_digest(_responses(report)) == response_digest(
+        _responses(reference)
     )
-    recovered, stats = ConditionService.recover(journal, registry, quota=QUOTA)
+    recovered, stats = ConditionService.recover(
+        shard_journal_path(tmp_path, 0), registry, quota=QUOTA
+    )
     try:
         assert stats.truncated_bytes == 0
         assert stats.reexecuted == ()
         assert stats.requeued == ()
         assert len(stats.replayed) == reference.tickets
         assert response_digest(stats.replayed) == response_digest(
-            reference.responses
+            _responses(reference)
         )
         # Every result is fetchable under its original ticket id.
-        for response in report.responses:
+        for response in _responses(report):
             sid = response.ticket.submission_id
             assert recovered.result(sid) == response
     finally:

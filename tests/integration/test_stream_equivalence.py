@@ -14,7 +14,7 @@ from repro.serve import (
     ShardCluster,
     StreamLoadSpec,
     completion_digest,
-    run_cluster_fleet,
+    run_fleet,
     run_stream_fleet,
     stream_fleet_plan,
     stream_replay_workload,
@@ -39,7 +39,7 @@ def replay_digest(plans):
     traces, submissions = stream_replay_workload(plans)
     cluster = ShardCluster(traces, shards=2)
     try:
-        report = run_cluster_fleet(cluster, submissions)
+        report = run_fleet(cluster, submissions)
     finally:
         cluster.shutdown()
     assert len(report.completed) == len(submissions)

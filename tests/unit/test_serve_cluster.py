@@ -152,6 +152,45 @@ class TestShardCluster:
         finally:
             cluster.shutdown()
 
+    def test_accept_kill_goes_dead_and_recovers(self, registry, tmp_path):
+        cluster = ShardCluster(
+            registry,
+            shards=4,
+            journal_dir=tmp_path,
+            faults={1: ServiceFaultPlan(kill_after_accepts=2)},
+        )
+        try:
+            first = _tenant_on_shard(cluster, registry, 1)
+            second = _tenant_on_shard(
+                cluster, registry, 1, hint=int(first.split("-")[1]) + 1
+            )
+            assert cluster.submit(_steps(registry, first)).accepted
+            cluster.pump()  # makes the first accept durable
+            # The second accept kills shard 1: the kill is caught, not
+            # raised, and the killing submission comes back refused.
+            killed = cluster.submit(_steps(registry, second))
+            assert killed.shard == 1
+            assert isinstance(killed.response, Rejected)
+            assert killed.response.reason == "shard_down"
+            assert cluster.dead_shards == (1,)
+            # The other shards keep admitting; shard 1 keeps refusing.
+            for shard in (0, 2, 3):
+                tenant = _tenant_on_shard(cluster, registry, shard)
+                assert cluster.submit(_steps(registry, tenant)).accepted
+            refused = cluster.submit(_steps(registry, first))
+            assert refused.response.reason == "shard_down"
+            stats = cluster.recover_shard(1)
+            assert cluster.dead_shards == ()
+            assert stats.accepts == 1
+            # The recovered shard re-issues the ticket the crash forgot.
+            again = cluster.submit(_steps(registry, second))
+            assert again.accepted
+            assert again.response.submission_id == 2
+            drained = cluster.drain()
+            assert [type(r) for r in drained[1]] == [Completed]
+        finally:
+            cluster.shutdown()
+
     def test_recover_shard_requires_journal_dir(self, registry):
         cluster = ShardCluster(registry, shards=2)
         try:
@@ -303,6 +342,31 @@ class TestAsyncCluster:
                 assert cluster.dead_shards == (0,)
                 with pytest.raises(ServiceKilled):
                     await future
+            finally:
+                await front.shutdown()
+
+        asyncio.run(drive())
+
+    def test_accept_kill_resolves_with_rejection(self, registry, tmp_path):
+        from repro.serve import AsyncCluster
+
+        async def drive():
+            cluster = ShardCluster(
+                registry,
+                shards=4,
+                journal_dir=tmp_path,
+                faults={1: ServiceFaultPlan(kill_after_accepts=1)},
+            )
+            front = AsyncCluster(cluster)
+            try:
+                victim = _tenant_on_shard(cluster, registry, 1)
+                future = front.submit(_steps(registry, victim))
+                assert future.done()
+                response = await future
+                assert isinstance(response, Rejected)
+                assert response.reason == "shard_down"
+                assert cluster.dead_shards == (1,)
+                assert front.pending == 0
             finally:
                 await front.shutdown()
 

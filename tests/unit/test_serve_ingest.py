@@ -277,6 +277,10 @@ class TestRecovery:
             recovered.pump()
         logs = recovered.close_stream("t0", "s0")
         assert logs[sub_id] == _reference(il, chunks)
+        recovered.shutdown()
+        # The pre-crash service closes last and without draining:
+        # closing it any earlier would flush records the crash loses.
+        service.shutdown(drain=False)
 
     def test_unflushed_chunks_fall_off_and_repush(self, tmp_path):
         """Chunks pushed but never flushed are simply not applied after
@@ -303,6 +307,8 @@ class TestRecovery:
             recovered.pump()
         logs = recovered.close_stream("t0", "s0")
         assert logs[sub_id] == _reference(il, chunks)
+        recovered.shutdown()
+        service.shutdown(drain=False)
 
     def test_reused_sample_array_keeps_live_equal_to_recovered(self, tmp_path):
         """The journal pickles a chunk at push time; a device reusing its
