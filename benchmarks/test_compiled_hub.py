@@ -14,13 +14,20 @@ tiers —
 asserting the wake events are bit-identical tier by tier and recording
 per-app timings in ``results/BENCH_compile.json``.
 
-The timings also feed a :class:`repro.hub.costmodel.CostModel`, the
-same way the engine feeds it from real runs, and the model's resulting
-``selected_tier`` is recorded per app.  The selection contract: no
-app's auto-selected tier may be slower than the round-by-round
-interpreter — the measured model must never regress an app the way the
-old hardwired ``compiled > fused > rounds`` ranking regressed the
-bandwidth-bound audio suite (fused audio at 0.27x rounds).
+Each app's ``selected_tier`` is the tier the engine's default
+:class:`repro.hub.costmodel.CostModel` chooses for its condition: the
+calibrated table's entry, else the static ``compiled > fused > rounds``
+order.  The selection contract: no app's selected tier may be slower
+than the round-by-round interpreter — the table must never regress an
+app the way the static order alone regresses the bandwidth-bound audio
+suite.
+
+A table entry also decides how the engine runs a fingerprint group of
+two or more traces: on ``compiled`` as one stacked batched dispatch,
+else trace by trace.  For every app the table pins, the engine's
+``wake_events_batch`` over the suite's traces is timed with the entry
+set to each tier in turn (``engine_s``), and the pinned tier must be
+within 5% of the fastest, or the table is stale.
 
 The headline floor applies to the accelerometer suite: at 50 Hz the
 per-round interpreter overhead dominates, which is exactly what the
@@ -49,9 +56,9 @@ from repro.apps import (
 )
 from repro.eval.report import render_table
 from repro.hub.compile import compile_eligibility, compile_graph
-from repro.hub.costmodel import CostModel
+from repro.hub.costmodel import CALIBRATED_TABLE, TIER_PREFERENCE, CostModel
 from repro.hub.runtime import HubRuntime, split_into_rounds
-from repro.sim.engine import RunContext
+from repro.sim.engine import RunContext, program_fingerprint
 
 QUICK = os.environ.get("REPRO_QUICK") == "1"
 
@@ -70,12 +77,9 @@ def _timed(fn):
 TIER_KEYS = {"rounds": "round_s", "fused": "fused_s", "compiled": "compiled_s"}
 
 
-def _time_app(ctx, app, traces, model):
-    """Run one app's condition through all three tiers over ``traces``.
-
-    Feeds every measurement into ``model`` exactly as the engine does
-    from real runs, and records which tier the model settles on.
-    """
+def _time_app(ctx, app, traces):
+    """Run one app's condition through all three tiers over ``traces``,
+    and record which tier the engine's cost model chooses for it."""
     graph = ctx.compile(app.build_wakeup_pipeline())
     assert compile_eligibility(graph) is None, app.name
     plan = compile_graph(graph)
@@ -84,7 +88,6 @@ def _time_app(ctx, app, traces, model):
         "app": app.name, "traces": len(traces), "wake_events": 0,
         "round_s": 0.0, "fused_s": 0.0, "compiled_s": 0.0,
     }
-    items = 0
     for trace in traces:
         arrays = ctx.channel_arrays(trace)
         channels = {
@@ -92,7 +95,6 @@ def _time_app(ctx, app, traces, model):
             for name, triple in arrays.items()
             if name in graph.channels
         }
-        items += sum(len(triple[0]) for triple in channels.values())
         graph.reset()
         by_rounds, dt = _timed(
             lambda: HubRuntime(graph).run(split_into_rounds(channels, 4.0))
@@ -107,14 +109,35 @@ def _time_app(ctx, app, traces, model):
         # The whole point: three tiers, one answer, bit for bit.
         assert compiled == fused == by_rounds
         row["wake_events"] += len(compiled)
-    for tier, key in TIER_KEYS.items():
-        model.observe(fingerprint, tier, row[key], items)
-    selected = model.choose(fingerprint, list(TIER_KEYS))
+    selected = CostModel().choose(fingerprint, list(TIER_KEYS))
     row["selected_tier"] = selected
+    row["calibrated"] = fingerprint in CALIBRATED_TABLE
     row["selected_s"] = round(row[TIER_KEYS[selected]], 4)
     for key in ("round_s", "fused_s", "compiled_s"):
         row[key] = round(row[key], 4)
     return row
+
+
+#: Interleaved runs per tier of the engine-path timing; the fastest
+#: counts, so one slow reading on a shared host cannot flip the order.
+ENGINE_REPEATS = 5
+
+
+def _engine_seconds(graph, traces):
+    """Best wall seconds of ``RunContext.wake_events_batch`` over
+    ``traces`` with ``graph``'s table entry set to each tier in turn (a
+    fresh context per run, so no run is served from a cache)."""
+    fingerprint = program_fingerprint(graph.program)
+    pairs = [(graph, trace) for trace in traces]
+    best = dict.fromkeys(TIER_PREFERENCE, float("inf"))
+    for _ in range(ENGINE_REPEATS):
+        for tier in TIER_PREFERENCE:
+            ctx = RunContext(cost_model=CostModel(table={fingerprint: tier}))
+            for trace in traces:
+                ctx.channel_arrays(trace)
+            _, dt = _timed(lambda: ctx.wake_events_batch(pairs, 4.0))
+            best[tier] = min(best[tier], dt)
+    return {tier: round(seconds, 4) for tier, seconds in best.items()}
 
 
 def _suite_speedups(rows):
@@ -136,16 +159,23 @@ def test_compiled_hub_tiers(benchmark, robot_traces, audio_traces):
     ctx = RunContext()
     accel_traces = robot_traces[:2] if QUICK else robot_traces[:6]
     audio_subset = audio_traces[:1] if QUICK else audio_traces
+    # Two traces at least, so a fingerprint group takes the batched
+    # path the table decides.
+    engine_traces = audio_traces[:2] if QUICK else audio_traces
     accel_apps = [StepsApp(), TransitionsApp(), HeadbuttApp()]
     audio_apps = [MusicJournalApp(), PhraseDetectionApp(), SirenDetectorApp()]
 
     def run_suites():
-        model = CostModel()
-        accel = [_time_app(ctx, app, accel_traces, model) for app in accel_apps]
-        audio = [_time_app(ctx, app, audio_subset, model) for app in audio_apps]
+        accel = [_time_app(ctx, app, accel_traces) for app in accel_apps]
+        audio = [_time_app(ctx, app, audio_subset) for app in audio_apps]
         return accel, audio
 
     accel_rows, audio_rows = run_once(benchmark, run_suites)
+    for app, row in zip(accel_apps + audio_apps, accel_rows + audio_rows):
+        if row["calibrated"]:
+            graph = ctx.compile(app.build_wakeup_pipeline())
+            row["engine_s"] = _engine_seconds(graph, engine_traces)
+    calibrated = [row for row in accel_rows + audio_rows if row["calibrated"]]
 
     accel = _suite_speedups(accel_rows)
     audio = _suite_speedups(audio_rows)
@@ -183,15 +213,38 @@ def test_compiled_hub_tiers(benchmark, robot_traces, audio_traces):
                 f"on the accel suite ({audio['compiled_speedup']}x on the "
                 f"bandwidth-bound audio suite)"
             ),
+        )
+        + "\n\n"
+        + render_table(
+            ["app", "rounds (s)", "fused (s)", "compiled (s)", "selected"],
+            [
+                (
+                    r["app"],
+                    *(f"{r['engine_s'][tier]:.3f}"
+                      for tier in ("rounds", "fused", "compiled")),
+                    r["selected_tier"],
+                )
+                for r in calibrated
+            ],
+            title=(
+                f"Calibrated apps on the engine path: wake_events_batch "
+                f"over {len(engine_traces)} traces, table entry set to "
+                f"each tier"
+            ),
         ),
     )
 
     # The cost model may never pick a tier slower than the paper's
     # round-by-round baseline (small epsilon absorbs timing jitter on
-    # sub-threshold plans, where the model keeps the static preference
-    # because the choice cannot matter at that scale).
+    # millisecond plans, where the static preference holds because the
+    # choice cannot matter at that scale).
     for row in accel_rows + audio_rows:
         assert row["selected_s"] <= row["round_s"] * 1.05 + 0.005, row
+    # A pinned tier must stay the fastest way the engine runs the app.
+    for row in calibrated:
+        engine = row["engine_s"]
+        fastest = min(engine.values())
+        assert engine[row["selected_tier"]] <= fastest * 1.05 + 0.005, row
 
     if not QUICK:
         assert accel["compiled_speedup"] >= MIN_COMPILED_SPEEDUP, payload

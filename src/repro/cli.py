@@ -367,16 +367,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         shards=shards,
     )
-    cost_model = _load_cost_table(args)
-    if args.no_batch or args.no_shape_batch or cost_model is not None:
+    if args.no_batch or args.no_shape_batch:
         from repro.sim.engine import RunContext
 
-        # Shards share one cost model (they pump sequentially in one
-        # process), so batch-size samples pool across the cluster.
         cluster_kwargs["context_factory"] = lambda: RunContext(
             batch=not args.no_batch,
             shape_batch=not args.no_shape_batch,
-            cost_model=cost_model,
         )
     faults = None
     if args.kill_shard is not None:
@@ -412,27 +408,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             "responses "
             f"{response_digest(response for _, response in report.responses)}"
         )
-    if args.cost_table and cost_model is not None:
-        cost_model.save(Path(args.cost_table))
-        print(f"wrote cost table to {args.cost_table}")
     return 0
-
-
-def _load_cost_table(args: argparse.Namespace):
-    """The calibrated cost model from ``--cost-table``, if the file exists.
-
-    A missing file is not an error: the flag then means "save the model
-    learned during this run here", so the *next* run starts calibrated
-    (tier choices and shape-batching decisions settle without probing).
-    """
-    if not getattr(args, "cost_table", None):
-        return None
-    from repro.hub.costmodel import CostModel
-
-    path = Path(args.cost_table)
-    if path.exists():
-        return CostModel.load(path)
-    return CostModel()
 
 
 def _serve_bench_stream(args: argparse.Namespace) -> int:
@@ -780,11 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "differently parameterized conditions that "
                         "share a graph shape (results are identical; "
                         "this is an escape hatch)")
-    p.add_argument("--cost-table", metavar="PATH",
-                   help="load a persisted cost model from PATH if it "
-                        "exists and save the (updated) model there "
-                        "after the run, so tier and shape-batching "
-                        "choices start calibrated next time")
     p.add_argument("--journal", metavar="DIR",
                    help="directory of per-shard write-ahead journals "
                         "(shard-00.wal, ...); enables durability, and "

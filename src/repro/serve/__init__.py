@@ -29,8 +29,7 @@ the simulation engine (:mod:`repro.sim.engine`):
   sharded tier: a deterministic rendezvous-hash router over
   ``(tenant, trace)`` keys, N isolated service shards (each with its
   own engine context, pool, clock and journal) pumped concurrently,
-  cross-shard metrics aggregation, and an asyncio front end whose
-  ``submit`` resolves at pump time;
+  and cross-shard metrics aggregation;
 * :mod:`~repro.serve.openloop` — Poisson-arrival open-loop load on a
   simulated clock, the overload sweep measuring goodput and
   p50/p90/p99/p99.9 tail latency vs offered rate, and the streamed
@@ -65,7 +64,6 @@ from repro.serve.journal import (
     truncate_journal,
 )
 from repro.serve.cluster import (
-    AsyncCluster,
     ClusterMetricsSnapshot,
     Routed,
     ShardCluster,
@@ -126,7 +124,6 @@ from repro.serve.submission import (
 
 __all__ = [
     "AdmissionController",
-    "AsyncCluster",
     "Cancelled",
     "ClusterMetricsSnapshot",
     "Completed",

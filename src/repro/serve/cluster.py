@@ -18,19 +18,10 @@ frames, and a crashed shard recovers from *its* journal without
 touching the others.  Shard pumps run concurrently over a thread
 executor; no state crosses shard boundaries, so concurrency cannot
 change any shard's responses.
-
-:class:`AsyncCluster` is the event-loop front end: ``submit`` returns
-an :class:`asyncio.Future` resolved with the submission's terminal
-:class:`~repro.serve.submission.Response` at its shard's pump time,
-and ``pump``/``drain`` dispatch shard pumps through
-``loop.run_in_executor``.  Clocks stay injectable — with the default
-per-shard :class:`~repro.serve.metrics.LogicalClock`, a cluster run is
-bit-reproducible regardless of event-loop interleaving.
 """
 
 from __future__ import annotations
 
-import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +54,6 @@ from repro.sim.engine import RunContext
 from repro.traces.base import Trace
 
 __all__ = [
-    "AsyncCluster",
     "ClusterMetricsSnapshot",
     "Routed",
     "ShardCluster",
@@ -573,137 +563,3 @@ class ShardCluster:
             stats[shard] = shard_stats
         return cluster, stats
 
-
-class AsyncCluster:
-    """The asyncio front end over a :class:`ShardCluster`.
-
-    ``submit`` returns an :class:`asyncio.Future` that resolves with
-    the submission's terminal :class:`Response` when its shard pumps
-    the round containing it (immediately, for admission refusals).
-    ``pump``/``drain`` dispatch the blocking shard pumps through
-    ``loop.run_in_executor`` so the event loop stays responsive while
-    shards execute concurrently.
-
-    Determinism contract: response *content* is produced entirely
-    inside per-shard synchronous code under injectable clocks — the
-    event loop only decides *when* futures resolve, never what they
-    resolve to.  Same submissions + same topology ⇒ same responses,
-    regardless of loop scheduling.
-    """
-
-    def __init__(
-        self,
-        cluster: ShardCluster,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-    ):
-        self._cluster = cluster
-        self._loop = loop
-        # (shard, submission_id) -> the future its pump will resolve.
-        self._pending: Dict[Tuple[int, int], "asyncio.Future[Response]"] = {}
-
-    @property
-    def cluster(self) -> ShardCluster:
-        """The synchronous cluster underneath."""
-        return self._cluster
-
-    @property
-    def pending(self) -> int:
-        """Futures awaiting a pump."""
-        return len(self._pending)
-
-    def _event_loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop if self._loop is not None else asyncio.get_running_loop()
-
-    def submit(self, submission: Submission) -> "asyncio.Future[Response]":
-        """Admit a submission; an awaitable of its terminal response.
-
-        Refusals (quota, capacity, dead shard, malformed) resolve the
-        future immediately with the :class:`Rejected` value — awaiting
-        a rejection never blocks a client on a pump that will not come.
-        """
-        loop = self._event_loop()
-        future: "asyncio.Future[Response]" = loop.create_future()
-        routed = self._cluster.submit(submission)
-        if isinstance(routed.response, Ticket):
-            self._pending[
-                (routed.shard, routed.response.submission_id)
-            ] = future
-        else:
-            future.set_result(routed.response)
-        return future
-
-    def _resolve(self, shard: int, responses: List[Response]) -> None:
-        for response in responses:
-            ticket = getattr(response, "ticket", None)
-            if ticket is None:
-                continue
-            future = self._pending.pop((shard, ticket.submission_id), None)
-            if future is not None and not future.done():
-                future.set_result(response)
-
-    async def pump(self) -> Dict[int, List[Response]]:
-        """One concurrent scheduling round across all live shards.
-
-        Each live shard's blocking pump runs in the default executor;
-        resolved responses settle their submit futures before this
-        returns.  A shard killed by fault injection fails its still
-        pending futures with :class:`~repro.errors.ServiceKilled` —
-        awaiters see the crash instead of hanging until recovery.
-        """
-        loop = self._event_loop()
-        live = [
-            shard
-            for shard in range(self._cluster.shards)
-            if shard not in self._cluster.dead_shards
-        ]
-        results = await asyncio.gather(
-            *(
-                loop.run_in_executor(None, self._cluster.pump_shard, shard)
-                for shard in live
-            )
-        )
-        merged: Dict[int, List[Response]] = {}
-        for shard, responses in zip(live, results):
-            merged[shard] = responses
-            self._resolve(shard, responses)
-        self._fail_dead_futures()
-        return merged
-
-    def _fail_dead_futures(self) -> None:
-        for shard in self._cluster.dead_shards:
-            for key in [k for k in self._pending if k[0] == shard]:
-                future = self._pending.pop(key)
-                if not future.done():
-                    future.set_exception(
-                        ServiceKilled(
-                            f"shard {shard} died before pumping "
-                            f"submission {key[1]}"
-                        )
-                    )
-
-    async def drain(self) -> Dict[int, List[Response]]:
-        """Pump until every live shard's queue is empty."""
-        merged: Dict[int, List[Response]] = {}
-        while True:
-            depth = sum(
-                self._cluster.shard(shard).queue_depth
-                for shard in range(self._cluster.shards)
-                if shard not in self._cluster.dead_shards
-            )
-            if not depth:
-                break
-            for shard, responses in (await self.pump()).items():
-                merged.setdefault(shard, []).extend(responses)
-        return merged
-
-    async def shutdown(self, drain: bool = True) -> Dict[int, List[Response]]:
-        """Drain (optionally), shut the cluster down, cancel leftovers."""
-        merged = await self.drain() if drain else {}
-        for shard, responses in self._cluster.shutdown(drain=drain).items():
-            merged.setdefault(shard, []).extend(responses)
-            self._resolve(shard, responses)
-        for future in self._pending.values():
-            if not future.done():
-                future.cancel()
-        self._pending.clear()
-        return merged

@@ -94,10 +94,12 @@ def load_response(directory: Union[str, Path], submission_id: int) -> Response:
         )
     try:
         manifest = json.loads(sidecar.read_text())
-        with np.load(path) as archive:
+        # Own the handle: ``np.load`` leaks the one it opens when the
+        # archive turns out torn.
+        with open(path, "rb") as handle, np.load(handle) as archive:
             payload = archive["payload"].tobytes()
     except (
-        OSError, ValueError, KeyError, json.JSONDecodeError,
+        OSError, EOFError, ValueError, KeyError, json.JSONDecodeError,
         zipfile.BadZipFile,
     ) as error:
         raise JournalError(

@@ -379,9 +379,9 @@ class Scheduler:
         for chunk_seconds, keys in by_chunk.items():
             # One tensor-major dispatch per (pump round, chunking):
             # dedup-missed conditions across tenants and traces stack
-            # into batched plans where the engine's cost model has
-            # settled on the compiled tier; the rest run per-trace
-            # inside the same call.  Bit-identical either way, so a
+            # into batched plans where the engine's cost model chooses
+            # the compiled tier; the rest run per-trace inside the
+            # same call.  Bit-identical either way, so a
             # batch failure (e.g. one member's missing channel) simply
             # re-runs the group per key to preserve per-request errors.
             batched: Optional[List[tuple]] = None

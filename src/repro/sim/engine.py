@@ -213,13 +213,13 @@ class RunContext:
             wake events are bit-identical either way.  Implies nothing
             when ``batch`` is off — shape batching rides on the
             batched path.
-        cost_model: The measured tier selector
+        cost_model: The tier selector
             (:class:`repro.hub.costmodel.CostModel`) consulted on every
-            hub interpretation.  Tiers are bit-identical, so the model
-            only decides *which* one runs; every run it requests is
-            timed and fed back as a free sample.  ``None`` builds a
-            private empty model; pass a shared or pre-calibrated one to
-            pin selections across contexts.
+            hub run.  Tiers are bit-identical, so it only decides
+            *which* one runs, from its calibrated table and the static
+            preference order; every run is also timed into its ledger
+            for reports.  ``None`` builds a private model over the
+            default :data:`repro.hub.costmodel.CALIBRATED_TABLE`.
 
     Cache keys and invalidation rules:
 
@@ -481,23 +481,17 @@ class RunContext:
         graph: DataflowGraph,
         trace: Trace,
         chunk_seconds: float,
-        extra_keys: Sequence[str] = (),
-        force_tier: Optional[str] = None,
+        group_key: Optional[str] = None,
     ) -> List[WakeEvent]:
         channels = self._trace_channels(graph.channels, trace)
         plan = self.compiled_plan(graph) if self.compiled else None
-        allowed = self._allowed_tiers(graph, plan)
         fp = self.fingerprint(graph.program)
         # Every tier is bit-identical, so the cost model only picks the
-        # fastest way to the same events — and the run it was going to
-        # do anyway doubles as its measurement sample.  A caller probing
-        # on behalf of a *shared* key (the shape-batch path) forces the
-        # tier that key still needs measured and lists the key in
-        # ``extra_keys`` so the sample lands there too.
-        if force_tier is not None and force_tier in allowed:
-            tier = force_tier
-        else:
-            tier = self.cost_model.choose(fp, allowed)
+        # way to the same events.  A row of a shape group runs the
+        # tier its group key chooses, and its timing is filed under
+        # both keys.
+        key = group_key or fp
+        tier = self.cost_model.choose(key, self._allowed_tiers(graph, plan))
         items = sum(len(triple[0]) for triple in channels.values())
         start = time.perf_counter()
         if tier == "compiled":
@@ -515,50 +509,8 @@ class RunContext:
                 events = runtime.run(split_into_rounds(channels, chunk_seconds))
         elapsed = time.perf_counter() - start
         self.cost_model.observe(fp, tier, elapsed, items)
-        for key in extra_keys:
+        if key != fp:
             self.cost_model.observe(key, tier, elapsed, items)
-        return events
-
-    def _wake_events_probed(
-        self,
-        graph: DataflowGraph,
-        trace: Trace,
-        chunk_seconds: float,
-        shape_key: str,
-    ) -> Tuple[WakeEvent, ...]:
-        """One cached per-trace run that doubles as a *shape-key* probe.
-
-        In a heterogeneous group every row's fingerprint is fresh, so a
-        plain :meth:`wake_events` would always pick the preferred tier
-        and the shared shape key would never finish probing.  This
-        variant forces the tier the shape key's own probe schedule asks
-        for and observes the sample under both the row's fingerprint
-        and the shape key.
-        """
-        key = (
-            self.fingerprint(graph.program),
-            self._trace_key(trace),
-            float(chunk_seconds),
-        )
-        cached = self._hub_runs.get(key)
-        if cached is not None:
-            self.stats.hub_hits += 1
-            return cached
-        self.stats.hub_misses += 1
-        plan = self.compiled_plan(graph) if self.compiled else None
-        tier = self.cost_model.choose(
-            shape_key, self._allowed_tiers(graph, plan)
-        )
-        events = tuple(
-            self._interpret(
-                graph,
-                trace,
-                chunk_seconds,
-                extra_keys=(shape_key,),
-                force_tier=tier,
-            )
-        )
-        self._hub_runs[key] = events
         return events
 
     def wake_events_batch(
@@ -571,27 +523,22 @@ class RunContext:
         Bit-identical to calling :meth:`wake_events` per pair, in input
         order — batching only changes how the uncached work is computed.
         Cached pairs are served as usual; the rest group by condition
-        fingerprint.  A group's rows run individually until the cost
-        model settles — those runs *are* the probes — and once it
-        commits to the compiled tier the remaining rows (two or more)
-        go tensor-major: one
+        fingerprint.  A group of two or more batch-eligible rows whose
+        cost-model tier is ``compiled`` goes tensor-major: one
         :meth:`repro.hub.compile.BatchedPlan.execute_batch` dispatch
-        over stacked channel arrays.  Anything else — ineligible
-        graphs, fingerprints settled on another tier, singleton
-        remainders, a context with ``batch``/``cache``/``compiled``
-        off — stays on the per-trace path.  Results are cached under
-        the same keys either way, so later :meth:`wake_events` calls
-        hit.
+        per rate signature.  Anything else — ineligible graphs, a
+        group on another tier, a lone row, a context with
+        ``batch``/``cache``/``compiled`` off — runs per trace at its
+        tier.  Results are cached under the same keys either way, so
+        later :meth:`wake_events` calls hit.
 
-        With ``shape_batch`` on (the default), fingerprint groups that
-        share a graph *shape* (:func:`repro.hub.compile.shape_signature`
-        — same opcodes and wiring, different parameter values) merge
-        into one heterogeneous group first: probing is keyed by the
-        shape signature, rows sub-group by structural key and rate, the
-        batch-size-aware cost profile arbitrates between one big shape
-        batch and per-fingerprint batches, and a shape dispatch lifts
-        per-row parameters into tensors
-        (:meth:`repro.hub.compile.BatchedPlan.execute_shape_batch`).
+        With ``shape_batch`` on (the default), batch-eligible
+        fingerprints with no table entry of their own that share a
+        graph *shape* (:func:`repro.hub.compile.shape_signature` — same
+        opcodes and wiring, different parameter values) merge into one
+        heterogeneous group keyed by the shape signature
+        (:meth:`_run_shape_group`).  A pinned fingerprint runs its
+        pinned tier.
 
         Raises:
             HubExecutionError: when a trace lacks a channel its
@@ -623,9 +570,9 @@ class RunContext:
                 groups[key[0]][key[1]] = (graph, trace, [i])
             else:
                 entry[2].append(i)
-        # Merge fingerprint groups that share a graph shape into
-        # heterogeneous groups (two or more distinct fingerprints, all
-        # batch-eligible); everything else drains homogeneously below.
+        # Merge unpinned, batch-eligible fingerprint groups that share a
+        # graph shape into heterogeneous groups (two or more distinct
+        # fingerprints); everything else runs per fingerprint below.
         shape_groups: Dict[
             str, List[Tuple[str, List[Tuple[DataflowGraph, Trace, List[int]]]]]
         ] = {}
@@ -633,7 +580,8 @@ class RunContext:
             by_sig: Dict[str, List[str]] = {}
             for fp, members in groups.items():
                 graph = next(iter(members.values()))[0]
-                if self.batched_plan(graph) is None:
+                pinned = fp in self.cost_model.table
+                if pinned or self.batched_plan(graph) is None:
                     continue
                 by_sig.setdefault(self.shape_sig(graph), []).append(fp)
             for sig, fps in by_sig.items():
@@ -645,31 +593,21 @@ class RunContext:
         for fp, members in groups.items():
             rows = list(members.values())
             graph = rows[0][0]
-            plan = self.compiled_plan(graph)
-            bplan = self.batched_plan(graph) if plan is not None else None
-            # Run rows individually until the model settles — each call
-            # lands in _interpret, which times its tier and feeds the
-            # cost model, so these runs double as the probes.  A group
-            # whose condition is not batch-eligible drains entirely
-            # this way.
-            pending = list(rows)
-            while pending:
-                settled = (
-                    self.cost_model.selection(
-                        fp, self._allowed_tiers(graph, plan)
+            # Only two or more batch-eligible rows need the group's tier
+            # up front; a row that runs per trace asks for it itself.
+            bplan = self.batched_plan(graph) if len(rows) >= 2 else None
+            if bplan is not None:
+                allowed = self._allowed_tiers(graph, self.compiled_plan(graph))
+                if self.cost_model.choose(fp, allowed) != "compiled":
+                    bplan = None
+            if bplan is None:
+                for row_graph, row_trace, indices in rows:
+                    events = self.wake_events(
+                        row_graph, row_trace, chunk_seconds
                     )
-                    if bplan is not None
-                    else None
-                )
-                if settled == "compiled" and len(pending) >= 2:
-                    break
-                row_graph, row_trace, indices = pending.pop(0)
-                events = self.wake_events(row_graph, row_trace, chunk_seconds)
-                for i in indices:
-                    results[i] = events
-            if not pending:
+                    for i in indices:
+                        results[i] = events
                 continue
-            rows = pending
             # Rows must agree per channel on sampling rate to stack;
             # split by the rate signature (almost always one group).
             by_rate: Dict[tuple, List[Tuple[Trace, List[int], Dict[str, tuple]]]] = {}
@@ -689,6 +627,23 @@ class RunContext:
         for sig, parts in shape_groups.items():
             self._run_shape_group(sig, parts, chunk_seconds, results)
         return results  # type: ignore[return-value]
+
+    def _store(
+        self,
+        fp: str,
+        trace: Trace,
+        chunk_seconds: float,
+        events: Tuple[WakeEvent, ...],
+        indices: List[int],
+        results: List[Optional[Tuple[WakeEvent, ...]]],
+    ) -> None:
+        """Cache one freshly computed uncached run and hand it out."""
+        self.stats.hub_misses += 1
+        self._hub_runs[
+            (fp, self._trace_key(trace), float(chunk_seconds))
+        ] = events
+        for i in indices:
+            results[i] = events
 
     def _run_homogeneous_batch(
         self,
@@ -715,24 +670,17 @@ class RunContext:
             [channels for _, _, _, channels in sub]
         )
         self.cost_model.observe(
-            fp,
-            "compiled",
-            time.perf_counter() - start,
-            total_items,
-            batch_size=len(sub),
+            fp, "compiled", time.perf_counter() - start, total_items
         )
         self.stats.batch_rounds += 1
         self.stats.batched_cells += len(sub)
         self.stats.batch_padded_cells += info.padded_cells
         self.stats.batch_valid_cells += info.valid_cells
         for (_, row_trace, indices, _), row_events in zip(sub, batch_events):
-            events = tuple(row_events)
-            self.stats.hub_misses += 1
-            self._hub_runs[
-                (fp, self._trace_key(row_trace), float(chunk_seconds))
-            ] = events
-            for i in indices:
-                results[i] = events
+            self._store(
+                fp, row_trace, chunk_seconds, tuple(row_events), indices,
+                results,
+            )
 
     def _run_shape_group(
         self,
@@ -743,15 +691,14 @@ class RunContext:
     ) -> None:
         """Run one heterogeneous (shared-shape) group of uncached work.
 
-        Mirrors the homogeneous loop, but keyed by the shape signature:
-        rows run individually as *shape-key* probes (forcing the tier
-        the shared key still needs measured — each row's fingerprint is
-        fresh, so per-fingerprint probing would never settle the shape)
-        until the model commits to the compiled tier, then the
-        remainder sub-groups by structural key and rate signature.
-        Each sub-group asks the batch-size profile whether one
-        parameterized shape dispatch beats splitting back into
-        per-fingerprint batches, and goes tensor-major accordingly.
+        The group asks the cost model for the shape signature's tier
+        once.  On ``compiled``, rows sub-group by structural key and
+        rate signature, and each sub-group of two or more rows is one
+        parameterized shape dispatch
+        (:meth:`repro.hub.compile.BatchedPlan.execute_shape_batch`,
+        whose padding guard may still split it).  On any other tier
+        each row runs per trace at the group's tier, filed in the
+        ledger under its own fingerprint and under the signature.
         """
         rows: List[Tuple[str, DataflowGraph, Trace, List[int]]] = [
             (fp, graph, trace, indices)
@@ -760,18 +707,14 @@ class RunContext:
         ]
         rep_graph = rows[0][1]
         allowed = self._allowed_tiers(rep_graph, self.compiled_plan(rep_graph))
-        pending = rows
-        while pending:
-            settled = self.cost_model.selection(sig, allowed)
-            if settled == "compiled" and len(pending) >= 2:
-                break
-            fp, row_graph, row_trace, indices = pending.pop(0)
-            events = self._wake_events_probed(
-                row_graph, row_trace, chunk_seconds, sig
-            )
-            for i in indices:
-                results[i] = events
-        if not pending:
+        if self.cost_model.choose(sig, allowed) != "compiled":
+            for fp, row_graph, row_trace, indices in rows:
+                events = tuple(
+                    self._interpret(row_graph, row_trace, chunk_seconds, sig)
+                )
+                self._store(
+                    fp, row_trace, chunk_seconds, events, indices, results
+                )
             return
         # Rows must agree on non-liftable parameter values (structural
         # key) and per-channel sampling rates to share a stacked
@@ -780,7 +723,7 @@ class RunContext:
             tuple,
             List[Tuple[str, DataflowGraph, Trace, List[int], Dict[str, tuple]]],
         ] = {}
-        for fp, row_graph, row_trace, indices in pending:
+        for fp, row_graph, row_trace, indices in rows:
             bplan = self.batched_plan(row_graph)
             channels = self._trace_channels(bplan.channels, row_trace)
             rate_sig = tuple(
@@ -797,26 +740,6 @@ class RunContext:
                 for i in indices:
                     results[i] = events
                 continue
-            counts: Dict[str, int] = {}
-            for fp, *_ in sub:
-                counts[fp] = counts.get(fp, 0) + 1
-            if not self.cost_model.choose_shape_batching(
-                sig, list(counts.items())
-            ):
-                # The profile prices one big (padded, ragged) shape
-                # batch worse than exact-fingerprint batches: regroup.
-                by_fp: Dict[str, List[tuple]] = {}
-                for entry in sub:
-                    by_fp.setdefault(entry[0], []).append(entry)
-                for part_fp, fp_rows in by_fp.items():
-                    self._run_homogeneous_batch(
-                        part_fp,
-                        self.batched_plan(fp_rows[0][1]),
-                        [(g, t, idx, ch) for _, g, t, idx, ch in fp_rows],
-                        chunk_seconds,
-                        results,
-                    )
-                continue
             total_items = sum(
                 len(triple[0])
                 for *_, channels in sub
@@ -831,11 +754,7 @@ class RunContext:
                 ]
             )
             self.cost_model.observe(
-                sig,
-                "compiled",
-                time.perf_counter() - start,
-                total_items,
-                batch_size=len(sub),
+                sig, "compiled", time.perf_counter() - start, total_items
             )
             self.stats.shape_rounds += 1
             self.stats.shape_cells += len(sub)
@@ -844,13 +763,10 @@ class RunContext:
             for (fp, _, row_trace, indices, _), row_events in zip(
                 sub, batch_events
             ):
-                events = tuple(row_events)
-                self.stats.hub_misses += 1
-                self._hub_runs[
-                    (fp, self._trace_key(row_trace), float(chunk_seconds))
-                ] = events
-                for i in indices:
-                    results[i] = events
+                self._store(
+                    fp, row_trace, chunk_seconds, tuple(row_events), indices,
+                    results,
+                )
 
     # -- application detectors -----------------------------------------
 

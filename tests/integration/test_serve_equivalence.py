@@ -129,8 +129,7 @@ def test_batching_on_and_off_bit_identical(registry):
     from repro.traces.robot import RobotRunConfig, generate_robot_run
 
     # Batching needs the same condition over *different* traces in one
-    # pump round, so widen the registry beyond the shared fixtures (the
-    # first row of a fresh fingerprint runs alone as the probe).
+    # pump round, so widen the registry beyond the shared fixtures.
     fleet_registry = dict(registry)
     for seed in range(4):
         trace = generate_robot_run(
@@ -174,10 +173,6 @@ def test_shape_batching_on_and_off_bit_identical(registry):
     per-tenant thresholds (distinct fingerprints, one shape) served
     with and without it yields identical responses, while the enabled
     shard actually ran shape rounds."""
-    from repro.hub.compile import shape_signature
-    from repro.hub.costmodel import CostModel
-    from repro.il.parser import parse_program
-    from repro.il.validate import validate_program
     from repro.serve import response_digest
     from repro.sim.engine import RunContext
 
@@ -203,19 +198,10 @@ def test_shape_batching_on_and_off_bit_identical(registry):
         )
         for k in range(12)
     ]
-    # Pin the shared shape to the compiled tier: the cost model's probe
-    # threshold is wall-clock based, so an unpinned run may settle on a
-    # different tier under load (still bit-identical, but then the
-    # shape-round counters this test asserts on would be zero).
-    shape = shape_signature(validate_program(parse_program(tenant_il(0))))
-
     def drive(shape_batch):
         cluster = ShardCluster(
             registry,
-            context_factory=lambda: RunContext(
-                shape_batch=shape_batch,
-                cost_model=CostModel(table={shape: "compiled"}),
-            ),
+            context_factory=lambda: RunContext(shape_batch=shape_batch),
         )
         try:
             report = run_fleet(

@@ -116,6 +116,29 @@ def test_serve_bench_quick(capsys):
     assert "submissions/s" in out
 
 
+def test_serve_bench_gives_each_shard_its_own_cost_model(
+    monkeypatch, capsys
+):
+    # Shards pump on a thread pool, so a shared model's ledger would
+    # race; every shard context gets a fresh model.
+    from repro.hub.costmodel import CALIBRATED_TABLE
+    from repro.sim import engine
+
+    models = []
+
+    class RecordingContext(engine.RunContext):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            models.append(self.cost_model)
+
+    monkeypatch.setattr(engine, "RunContext", RecordingContext)
+    assert main(["serve-bench", "--fleet", "8", "--quick", "--shards", "2",
+                 "--no-shape-batch"]) == 0
+    assert len(models) >= 2
+    assert len({id(model) for model in models}) == len(models)
+    assert all(dict(model.table) == CALIBRATED_TABLE for model in models)
+
+
 def test_figure6_verbose_prints_cache_counters(capsys):
     code = main(["figure6", "--duration", "120", "--verbose"])
     assert code == 0

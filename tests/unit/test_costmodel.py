@@ -1,34 +1,34 @@
-"""Measured tier selection: probe order, gating, and settlement.
+"""Tier selection: a calibrated table over a static order, plus a ledger.
 
-The cost model replaces the hardwired ``compiled > fused > rounds``
-preference with per-fingerprint measurements fed by the engine's real
-runs.  These tests pin its decision procedure:
+The cost model decides which bit-identical hub tier runs a condition.
+These tests pin its decision procedure:
 
-* the static preference runs unchallenged while unprobed or while its
-  runs stay under the probe threshold (accelerometer-class plans never
-  pay exploration);
-* an expensive fingerprint probes each remaining tier exactly once,
-  then the cheapest observed seconds-per-item wins — fixing the case
-  the hardwired ranking got wrong (fused audio at 0.27x rounds);
-* ``selection`` stays ``None`` mid-probe (batches only assemble once
-  the choice is settled);
-* a calibrated table entry short-circuits everything.
+* with no table entry, the first allowed tier of ``compiled > fused >
+  rounds`` runs;
+* a table entry wins when its tier is allowed and is ignored
+  otherwise; a table passed in is laid over the shipped one;
+* the shipped :data:`CALIBRATED_TABLE` still names the registry's
+  audio conditions and their shapes, which run fastest on the round
+  interpreter;
+* observed runs accumulate in a ledger that never moves a choice.
 """
 
 import pytest
 
+from repro.apps import AUDIO_APPS
 from repro.hub.costmodel import (
-    PROBE_THRESHOLD_S,
+    CALIBRATED_TABLE,
     TIER_PREFERENCE,
     CostModel,
 )
+from repro.sim.engine import RunContext
 
 ALL = list(TIER_PREFERENCE)
 FP = "fp:test"
 
 
 class TestChoose:
-    def test_preferred_tier_while_unprobed(self):
+    def test_static_order_without_a_table_entry(self):
         assert CostModel().choose(FP, ALL) == "compiled"
 
     def test_respects_allowed_subset(self):
@@ -39,77 +39,81 @@ class TestChoose:
         with pytest.raises(ValueError):
             CostModel().choose(FP, [])
 
-    def test_cheap_runs_never_trigger_probing(self):
+    def test_observed_runs_never_move_the_choice(self):
         model = CostModel()
-        for _ in range(50):
-            model.observe(FP, "compiled", PROBE_THRESHOLD_S / 10, 1000)
-            assert model.choose(FP, ALL) == "compiled"
-        # No alternative tier ever collected a sample.
-        assert model.seconds_per_item(FP, "fused") is None
-        assert model.seconds_per_item(FP, "rounds") is None
+        model.observe(FP, "compiled", 10.0, 10)
+        model.observe(FP, "rounds", 0.001, 10_000)
+        assert model.choose(FP, ALL) == "compiled"
 
-    def test_expensive_fingerprint_probes_each_tier_once(self):
-        model = CostModel()
-        model.observe(FP, "compiled", 0.5, 1000)  # slow: worth probing
-        assert model.choose(FP, ALL) == "fused"
-        model.observe(FP, "fused", 0.2, 1000)
-        assert model.choose(FP, ALL) == "rounds"
-        model.observe(FP, "rounds", 0.1, 1000)
-        # All probed: cheapest observed seconds-per-item wins.
-        assert model.choose(FP, ALL) == "rounds"
+    def test_order_of_allowed_does_not_matter(self):
+        # The static preference ranks the tiers, not the caller's list.
+        assert CostModel().choose(FP, ["rounds", "fused", "compiled"]) == (
+            "compiled"
+        )
+        model = CostModel(table={FP: "fused"})
+        assert model.choose(FP, ["rounds", "fused", "compiled"]) == "fused"
 
-    def test_winner_is_per_item_not_per_run(self):
-        model = CostModel()
-        model.observe(FP, "compiled", 0.5, 100)    # 5 ms/item
-        model.observe(FP, "fused", 0.4, 1000)      # 0.4 ms/item
-        model.observe(FP, "rounds", 0.3, 200)      # 1.5 ms/item
-        assert model.choose(FP, ALL) == "fused"
-
-    def test_fingerprints_are_independent(self):
-        model = CostModel()
-        model.observe("fp:a", "compiled", 0.5, 100)
-        assert model.choose("fp:a", ALL) == "fused"   # probing fp:a
-        assert model.choose("fp:b", ALL) == "compiled"  # fp:b untouched
+    def test_unknown_tiers_are_ignored(self):
+        assert CostModel().choose(FP, ["gpu", "rounds"]) == "rounds"
+        assert CostModel().selection(FP, ["gpu"]) is None
+        with pytest.raises(ValueError):
+            CostModel().choose(FP, ["gpu"])
+        # A table entry naming no known tier is ignored like a
+        # disallowed one.
+        assert CostModel(table={FP: "gpu"}).choose(FP, ALL) == "compiled"
 
 
 class TestSelection:
-    def test_none_while_unprobed(self):
-        assert CostModel().selection(FP, ALL) is None
-
-    def test_settles_immediately_on_cheap_runs(self):
-        model = CostModel()
-        model.observe(FP, "compiled", PROBE_THRESHOLD_S / 10, 1000)
-        assert model.selection(FP, ALL) == "compiled"
-
-    def test_none_mid_probe_then_settles_on_winner(self):
-        model = CostModel()
-        model.observe(FP, "compiled", 0.5, 1000)
-        assert model.selection(FP, ALL) is None   # fused/rounds unprobed
-        model.observe(FP, "fused", 0.1, 1000)
-        assert model.selection(FP, ALL) is None   # rounds unprobed
-        model.observe(FP, "rounds", 0.3, 1000)
-        assert model.selection(FP, ALL) == "fused"
+    def test_is_choose_when_a_tier_is_allowed(self):
+        model = CostModel(table={FP: "rounds"})
+        assert model.selection(FP, ALL) == "rounds"
+        assert model.selection("fp:other", ["fused", "rounds"]) == "fused"
 
     def test_no_allowed_tiers_is_none(self):
         assert CostModel().selection(FP, []) is None
 
 
 class TestTable:
-    def test_override_wins_and_is_never_probed(self):
+    def test_override_wins(self):
         model = CostModel(table={FP: "rounds"})
         assert model.choose(FP, ALL) == "rounds"
-        assert model.selection(FP, ALL) == "rounds"
-        # Even heavy observed runs do not trigger probing.
-        model.observe(FP, "rounds", 10.0, 10)
-        assert model.choose(FP, ALL) == "rounds"
+        assert model.choose("fp:other", ALL) == "compiled"
 
     def test_override_outside_allowed_is_ignored(self):
         model = CostModel(table={FP: "compiled"})
         assert model.choose(FP, ["fused", "rounds"]) == "fused"
-        assert model.selection(FP, ["fused", "rounds"]) is None
+        assert model.selection(FP, ["fused", "rounds"]) == "fused"
+
+    def test_default_is_the_calibrated_table(self):
+        assert dict(CostModel().table) == CALIBRATED_TABLE
+        fingerprint = next(iter(CALIBRATED_TABLE))
+        assert CostModel().choose(fingerprint, ALL) == "rounds"
+
+    def test_passed_table_is_laid_over_the_default(self):
+        first, second = list(CALIBRATED_TABLE)[:2]
+        model = CostModel(table={first: "compiled", FP: "fused"})
+        assert model.choose(first, ALL) == "compiled"
+        assert model.choose(second, ALL) == "rounds"
+        assert model.choose(FP, ALL) == "fused"
+        assert dict(CostModel(table={}).table) == CALIBRATED_TABLE
+
+    def test_calibrated_table_is_not_stale(self):
+        # Keyed by the registry's audio conditions as they compile
+        # today, and by their shapes (which retuned copies share):
+        # changing one of them must re-calibrate the table.
+        apps = [cls() for cls in AUDIO_APPS]
+        assert sorted(app.name for app in apps) == [
+            "music_journal", "phrase_detection", "sirens",
+        ]
+        context = RunContext()
+        graphs = [context.compile(app.build_wakeup_pipeline()) for app in apps]
+        keys = {context.fingerprint(graph.program) for graph in graphs}
+        keys |= {context.shape_sig(graph) for graph in graphs}
+        assert set(CALIBRATED_TABLE) == keys
+        assert set(CALIBRATED_TABLE.values()) == {"rounds"}
 
 
-class TestDiagnostics:
+class TestLedger:
     def test_as_dict_accumulates_runs(self):
         model = CostModel()
         model.observe(FP, "compiled", 0.25, 500)
@@ -117,103 +121,25 @@ class TestDiagnostics:
         dump = model.as_dict()
         assert dump[FP]["compiled"]["runs"] == 2
         assert dump[FP]["compiled"]["seconds"] == pytest.approx(0.5)
-        assert model.seconds_per_item(FP, "compiled") == pytest.approx(5e-4)
+        assert dump[FP]["compiled"]["items"] == pytest.approx(1000)
 
-
-class TestBatchProfile:
-    """Per-batch-size throughput: interpolation and extrapolation."""
-
-    def _model(self):
+    def test_keys_and_tiers_are_filed_apart(self):
         model = CostModel()
-        model.observe(FP, "compiled", 1.0, 100, batch_size=1)
-        model.observe(FP, "compiled", 4.0, 1000, batch_size=10)
-        return model
+        model.observe("fp:b", "rounds", 0.5, 50)
+        model.observe(FP, "rounds", 0.25, 20)
+        model.observe(FP, "compiled", 0.125, 10)
+        assert model.as_dict() == {
+            "fp:b": {"rounds": {"seconds": 0.5, "items": 50.0, "runs": 1}},
+            FP: {
+                "compiled": {"seconds": 0.125, "items": 10.0, "runs": 1},
+                "rounds": {"seconds": 0.25, "items": 20.0, "runs": 1},
+            },
+        }
 
-    def test_unseen_pair_predicts_none(self):
-        assert CostModel().predict_batch_seconds(FP, "compiled", 4) is None
-        assert self._model().predict_batch_seconds(FP, "fused", 4) is None
-
-    def test_interpolates_between_observed_sizes(self):
-        # Linear between (1, 1.0s) and (10, 4.0s): size 5.5 is midway.
-        predicted = self._model().predict_batch_seconds(FP, "compiled", 5)
-        assert predicted == pytest.approx(1.0 + 4.0 / 9.0 * 3.0)
-
-    def test_extends_last_segment_above_the_profile(self):
-        # Slope between the top two points is (4-1)/(10-1) s per row.
-        predicted = self._model().predict_batch_seconds(FP, "compiled", 19)
-        assert predicted == pytest.approx(4.0 + 3.0)
-
-    def test_single_point_scales_proportionally(self):
+    def test_negative_readings_count_as_zero(self):
         model = CostModel()
-        model.observe(FP, "compiled", 2.0, 100, batch_size=4)
-        assert model.predict_batch_seconds(FP, "compiled", 2) == pytest.approx(1.0)
-        assert model.predict_batch_seconds(FP, "compiled", 8) == pytest.approx(4.0)
+        model.observe(FP, "rounds", -1.0, -5)
+        assert model.as_dict()[FP]["rounds"] == {
+            "seconds": 0.0, "items": 0.0, "runs": 1,
+        }
 
-    def test_repeat_observations_average_within_a_size(self):
-        model = CostModel()
-        model.observe(FP, "compiled", 1.0, 100, batch_size=4)
-        model.observe(FP, "compiled", 3.0, 100, batch_size=4)
-        assert model.predict_batch_seconds(FP, "compiled", 4) == pytest.approx(2.0)
-
-
-class TestChooseShapeBatching:
-    SHAPE = "shape:test"
-    PARTS = [("fp:a", 4), ("fp:b", 4)]
-
-    def test_missing_data_defaults_to_batching(self):
-        assert CostModel().choose_shape_batching(self.SHAPE, self.PARTS)
-
-    def test_cheaper_shape_batch_wins(self):
-        model = CostModel()
-        model.observe(self.SHAPE, "compiled", 0.5, 800, batch_size=8)
-        model.observe("fp:a", "compiled", 0.4, 400, batch_size=4)
-        model.observe("fp:b", "compiled", 0.4, 400, batch_size=4)
-        assert model.choose_shape_batching(self.SHAPE, self.PARTS)
-
-    def test_costlier_shape_batch_splits(self):
-        model = CostModel()
-        model.observe(self.SHAPE, "compiled", 2.0, 800, batch_size=8)
-        model.observe("fp:a", "compiled", 0.4, 400, batch_size=4)
-        model.observe("fp:b", "compiled", 0.4, 400, batch_size=4)
-        assert not model.choose_shape_batching(self.SHAPE, self.PARTS)
-
-    def test_unseen_fingerprint_defaults_to_batching(self):
-        model = CostModel()
-        model.observe(self.SHAPE, "compiled", 2.0, 800, batch_size=8)
-        model.observe("fp:a", "compiled", 0.4, 400, batch_size=4)
-        assert model.choose_shape_batching(self.SHAPE, self.PARTS)
-
-
-class TestPersistence:
-    def test_dict_round_trip_preserves_profile_and_choice(self):
-        model = CostModel(table={"fp:pinned": "rounds"})
-        model.observe(FP, "compiled", 0.5, 1000, batch_size=1)
-        model.observe(FP, "compiled", 2.0, 4000, batch_size=8)
-        model.observe(FP, "fused", 0.2, 1000)
-        model.observe(FP, "rounds", 0.3, 1000)
-        copy = CostModel.from_dict(model.as_dict(), table=dict(model.table))
-        assert copy.as_dict() == model.as_dict()
-        assert copy.choose(FP, ALL) == model.choose(FP, ALL)
-        assert copy.choose("fp:pinned", ALL) == "rounds"
-        assert copy.predict_batch_seconds(
-            FP, "compiled", 4
-        ) == model.predict_batch_seconds(FP, "compiled", 4)
-
-    def test_legacy_dump_without_profile_still_predicts(self):
-        legacy = {FP: {"compiled": {"seconds": 0.5, "items": 1000, "runs": 5}}}
-        model = CostModel.from_dict(legacy)
-        # Aggregate loads as one point at batch size 1.
-        assert model.predict_batch_seconds(FP, "compiled", 1) == pytest.approx(0.1)
-        assert model.seconds_per_item(FP, "compiled") == pytest.approx(5e-4)
-
-    def test_save_load_round_trip(self, tmp_path):
-        model = CostModel(
-            table={"fp:pinned": "fused"}, probe_threshold_s=0.02
-        )
-        model.observe(FP, "compiled", 0.5, 1000, batch_size=4)
-        path = tmp_path / "cost_table.json"
-        model.save(path)
-        loaded = CostModel.load(path)
-        assert loaded.as_dict() == model.as_dict()
-        assert dict(loaded.table) == {"fp:pinned": "fused"}
-        assert loaded.probe_threshold_s == pytest.approx(0.02)

@@ -20,12 +20,16 @@ checks:
   them;
 * the engine's :meth:`RunContext.wake_events_batch` is bit-identical
   to per-pair :meth:`RunContext.wake_events`, fills the same cache,
-  counts batch rounds, and falls back cleanly when batching is off.
+  counts batch rounds, and falls back cleanly when batching is off;
+* a group asks the cost model for its tier once and runs no probe
+  rows: a pinned group runs per trace at its pinned tier, and with no
+  table entry the context's flags alone pick the tier.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps import SirenDetectorApp
 from repro.errors import HubExecutionError
 from repro.hub.compile import (
     batch_eligibility,
@@ -34,8 +38,9 @@ from repro.hub.compile import (
 )
 from repro.hub.costmodel import CostModel
 from repro.hub.runtime import HubRuntime, split_into_rounds
-from repro.sim.engine import RunContext
+from repro.sim.engine import RunContext, program_fingerprint
 from repro.traces.base import Trace
+from repro.traces.library import audio_corpus
 from tests.unit.test_fused_runtime import (
     EMA_PROGRAM,
     PROGRAMS,
@@ -150,35 +155,18 @@ class TestWakeEventsBatch:
         ]
         return graph, [(graph, trace) for trace in traces]
 
-    def _pinned_context(self, graph, **kwargs):
-        """A context whose cost model is pre-settled on ``compiled``."""
-        context = RunContext(**kwargs)
-        fingerprint = context.fingerprint(graph.program)
-        context.cost_model = CostModel(table={fingerprint: "compiled"})
-        return context
-
     def test_bit_identical_to_per_pair_wake_events(self):
-        graph, pairs = self._pairs()
+        _, pairs = self._pairs()
         reference = RunContext(batch=False)
         expected = [
             reference.wake_events(g, trace) for g, trace in pairs
         ]
-        batched = self._pinned_context(graph).wake_events_batch(pairs)
+        batched = RunContext().wake_events_batch(pairs)
         assert batched == expected
 
-    def test_probing_context_is_also_bit_identical(self):
-        # No pinned table: the first rows probe tiers one at a time,
-        # and the remainder batches once the model settles.
-        graph, pairs = self._pairs()
-        reference = RunContext(batch=False)
-        expected = [
-            reference.wake_events(g, trace) for g, trace in pairs
-        ]
-        assert RunContext().wake_events_batch(pairs) == expected
-
     def test_counts_one_round_and_fills_the_cache(self):
-        graph, pairs = self._pairs()
-        context = self._pinned_context(graph)
+        _, pairs = self._pairs()
+        context = RunContext()
         results = context.wake_events_batch(pairs)
         assert context.stats.batch_rounds == 1
         assert context.stats.batched_cells == len(pairs)
@@ -193,22 +181,97 @@ class TestWakeEventsBatch:
         assert context.stats.batch_rounds == 1
 
     def test_duplicate_pairs_share_one_computation(self):
-        graph, pairs = self._pairs(count=2)
+        _, pairs = self._pairs(count=2)
         doubled = pairs + pairs
-        context = self._pinned_context(graph)
+        context = RunContext()
         results = context.wake_events_batch(doubled)
         assert results[:2] == results[2:]
         assert context.stats.hub_misses == 2
         assert context.stats.batched_cells == 2
 
     def test_batch_disabled_falls_back_per_pair(self):
-        graph, pairs = self._pairs()
-        context = self._pinned_context(graph, batch=False)
+        _, pairs = self._pairs()
+        context = RunContext(batch=False)
         expected = [context.wake_events(g, t) for g, t in pairs]
-        context_off = self._pinned_context(graph, batch=False)
+        context_off = RunContext(batch=False)
         assert context_off.wake_events_batch(pairs) == expected
         assert context_off.stats.batch_rounds == 0
         assert context_off.stats.batched_cells == 0
+
+    def test_group_asks_the_cost_model_once(self):
+        graph, pairs = self._pairs()
+        context = RunContext()
+        asked = []
+        choose = context.cost_model.choose
+        context.cost_model.choose = (
+            lambda key, allowed: asked.append(key) or choose(key, allowed)
+        )
+        context.wake_events_batch(pairs)
+        fingerprint = program_fingerprint(graph.program)
+        assert asked == [fingerprint]
+        assert context.stats.batch_rounds == 1
+        assert context.cost_model.as_dict()[fingerprint]["compiled"][
+            "runs"
+        ] == 1
+
+    def test_pinned_group_runs_per_trace_at_its_tier(self):
+        graph, pairs = self._pairs()
+        fingerprint = program_fingerprint(graph.program)
+        context = RunContext(
+            cost_model=CostModel(table={fingerprint: "rounds"})
+        )
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        assert context.stats.batch_rounds == 0
+        assert context.stats.hub_misses == len(pairs)
+        ledger = context.cost_model.as_dict()
+        assert list(ledger) == [fingerprint]
+        assert list(ledger[fingerprint]) == ["rounds"]
+        assert ledger[fingerprint]["rounds"]["runs"] == len(pairs)
+
+    @pytest.mark.parametrize("table", [None, {}], ids=["default", "passed"])
+    def test_registry_audio_group_runs_rounds_by_default(self, table):
+        # The shipped table pins the registry's audio conditions to the
+        # round interpreter, so their fingerprint group never becomes a
+        # compiled batched dispatch, also under a passed table without
+        # entries of its own (a table is laid over the shipped one).
+        context = RunContext(
+            cost_model=None if table is None else CostModel(table=table)
+        )
+        graph = context.compile(SirenDetectorApp().build_wakeup_pipeline())
+        pairs = [(graph, trace) for trace in audio_corpus(duration_s=60.0)]
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        assert context.stats.batch_rounds == 0
+        ledger = context.cost_model.as_dict()
+        assert list(ledger[program_fingerprint(graph.program)]) == ["rounds"]
+
+    def test_lone_fresh_row_runs_compiled(self):
+        graph, pairs = self._pairs(count=1)
+        context = RunContext()
+        context.wake_events_batch(pairs)
+        fingerprint = program_fingerprint(graph.program)
+        assert context.stats.batch_rounds == 0
+        ledger = context.cost_model.as_dict()
+        assert list(ledger) == [fingerprint]
+        assert list(ledger[fingerprint]) == ["compiled"]
+        assert ledger[fingerprint]["compiled"]["runs"] == 1
+
+    @pytest.mark.parametrize("compiled, fuse, tier", [
+        (True, True, "compiled"),
+        (False, True, "fused"),
+        (False, False, "rounds"),
+    ])
+    def test_flags_run_the_first_allowed_tier(self, compiled, fuse, tier):
+        graph, pairs = self._pairs()
+        context = RunContext(compiled=compiled, fuse=fuse)
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        ledger = context.cost_model.as_dict()
+        assert list(ledger[program_fingerprint(graph.program)]) == [tier]
 
     def test_unbatchable_graph_drains_per_pair(self):
         graph = _graph(EMA_PROGRAM)

@@ -1,10 +1,8 @@
-"""Unit tests for the sharded cluster and its asyncio front end."""
-
-import asyncio
+"""Unit tests for the sharded cluster."""
 
 import pytest
 
-from repro.errors import ServiceKilled, SidewinderError
+from repro.errors import SidewinderError
 from repro.serve import (
     Completed,
     Rejected,
@@ -283,110 +281,3 @@ class TestMergeSnapshots:
         )
         assert merge_snapshots([healthy], [[]]).health_state == "healthy"
 
-
-class TestAsyncCluster:
-    def test_future_resolves_at_pump_time(self, registry):
-        from repro.serve import AsyncCluster
-
-        async def drive():
-            cluster = ShardCluster(registry, shards=2)
-            front = AsyncCluster(cluster)
-            try:
-                future = front.submit(_steps(registry, "device-00000"))
-                assert not future.done()  # resolution waits for the pump
-                assert front.pending == 1
-                await front.pump()
-                response = await future
-                assert isinstance(response, Completed)
-                assert front.pending == 0
-            finally:
-                await front.shutdown()
-
-        asyncio.run(drive())
-
-    def test_rejection_resolves_immediately(self, registry):
-        from repro.serve import AsyncCluster
-
-        async def drive():
-            cluster = ShardCluster(
-                registry, shards=1, quota=TenantQuota(max_pending=1)
-            )
-            front = AsyncCluster(cluster)
-            try:
-                front.submit(_steps(registry, "t1"))
-                second = front.submit(_steps(registry, "t1"))
-                assert second.done()
-                response = await second
-                assert isinstance(response, Rejected)
-                assert response.reason == "tenant_quota"
-            finally:
-                await front.shutdown()
-
-        asyncio.run(drive())
-
-    def test_dead_shard_fails_pending_futures(self, registry, tmp_path):
-        from repro.serve import AsyncCluster
-
-        async def drive():
-            cluster = ShardCluster(
-                registry,
-                shards=2,
-                journal_dir=tmp_path,
-                faults={0: ServiceFaultPlan(kill_at_pump=0)},
-            )
-            front = AsyncCluster(cluster)
-            try:
-                victim = _tenant_on_shard(cluster, registry, 0)
-                future = front.submit(_steps(registry, victim))
-                await front.pump()
-                assert cluster.dead_shards == (0,)
-                with pytest.raises(ServiceKilled):
-                    await future
-            finally:
-                await front.shutdown()
-
-        asyncio.run(drive())
-
-    def test_accept_kill_resolves_with_rejection(self, registry, tmp_path):
-        from repro.serve import AsyncCluster
-
-        async def drive():
-            cluster = ShardCluster(
-                registry,
-                shards=4,
-                journal_dir=tmp_path,
-                faults={1: ServiceFaultPlan(kill_after_accepts=1)},
-            )
-            front = AsyncCluster(cluster)
-            try:
-                victim = _tenant_on_shard(cluster, registry, 1)
-                future = front.submit(_steps(registry, victim))
-                assert future.done()
-                response = await future
-                assert isinstance(response, Rejected)
-                assert response.reason == "shard_down"
-                assert cluster.dead_shards == (1,)
-                assert front.pending == 0
-            finally:
-                await front.shutdown()
-
-        asyncio.run(drive())
-
-    def test_drain_resolves_everything(self, registry):
-        from repro.serve import AsyncCluster
-
-        async def drive():
-            cluster = ShardCluster(registry, shards=3)
-            front = AsyncCluster(cluster)
-            try:
-                futures = [
-                    front.submit(_steps(registry, f"device-{i:05d}"))
-                    for i in range(9)
-                ]
-                await front.drain()
-                responses = await asyncio.gather(*futures)
-                assert all(isinstance(r, Completed) for r in responses)
-            finally:
-                await front.shutdown()
-
-        asyncio.run(drive())

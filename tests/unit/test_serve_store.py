@@ -1,6 +1,8 @@
 """Unit tests for the result store's TTL, eviction order, and spill tier."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -124,10 +126,34 @@ class TestPersist:
         with pytest.raises(JournalError):
             persist.load_response(tmp_path, 99)
 
-    def test_torn_archive_raises(self, tmp_path):
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    def test_torn_archive_raises(self, tmp_path, keep):
+        persist.save_response(tmp_path, 7, _response(7), expiry=42.0)
+        path = persist.spill_path(tmp_path, 7)
+        path.write_bytes(path.read_bytes()[: int(path.stat().st_size * keep)])
+        with pytest.raises(JournalError):
+            persist.load_response(tmp_path, 7)
+
+    def test_torn_archive_closes_its_file(self, tmp_path):
         persist.save_response(tmp_path, 7, _response(7), expiry=42.0)
         path = persist.spill_path(tmp_path, 7)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                persist.load_response(tmp_path, 7)
+            except JournalError:
+                pass
+            gc.collect()
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+
+    def test_torn_sidecar_raises(self, tmp_path):
+        persist.save_response(tmp_path, 7, _response(7), expiry=42.0)
+        sidecar = persist.spill_path(tmp_path, 7).with_suffix(".json")
+        sidecar.write_text(sidecar.read_text()[:10])
         with pytest.raises(JournalError):
             persist.load_response(tmp_path, 7)
 

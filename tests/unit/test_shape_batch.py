@@ -23,12 +23,22 @@ at any chunking.  This module checks:
 * the engine's :meth:`RunContext.wake_events_batch` dispatches
   same-shape different-fingerprint work as shape batches, bit-identical
   to the per-pair path, fills the per-fingerprint cache, counts shape
-  rounds, and falls back cleanly when shape batching is off.
+  rounds, and falls back cleanly when shape batching is off;
+* a shape group asks the cost model for its tier once; a pinned shape
+  runs row by row, filed under each row's fingerprint and the shape
+  key; a fingerprint the table pins stays out of its shape group;
+  retuned copies of a registry audio condition run on the round
+  interpreter by default; and no reading of the engine's clock changes
+  the path.
 """
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.apps import SirenDetectorApp
 from repro.hub.compile import (
     BatchDispatchInfo,
     compile_batched,
@@ -37,8 +47,11 @@ from repro.hub.compile import (
     split_for_padding,
     structural_key,
 )
-from repro.hub.costmodel import CostModel
-from repro.sim.engine import RunContext
+from repro.hub.costmodel import CALIBRATED_TABLE, CostModel
+from repro.il.text import format_program
+from repro.sim import engine
+from repro.sim.engine import RunContext, program_fingerprint
+from repro.traces.library import audio_corpus
 from tests.unit.test_fused_runtime import (
     PROGRAMS,
     _events,
@@ -268,32 +281,15 @@ class TestEngineShapeBatch:
         ]
         return graphs, list(zip(graphs, traces))
 
-    def _pinned_context(self, graphs, **kwargs):
-        """A context pre-settled on ``compiled`` for shape and rows."""
-        context = RunContext(**kwargs)
-        table = {shape_signature(graphs[0]): "compiled"}
-        for graph in graphs:
-            table[context.fingerprint(graph.program)] = "compiled"
-        context.cost_model = CostModel(table=table)
-        return context
-
     def test_bit_identical_to_per_pair_wake_events(self):
-        graphs, pairs = self._pairs()
-        reference = RunContext(batch=False)
-        expected = [reference.wake_events(g, trace) for g, trace in pairs]
-        assert self._pinned_context(graphs).wake_events_batch(pairs) == expected
-
-    def test_probing_context_is_also_bit_identical(self):
-        # No pinned table: early rows probe tiers one at a time, the
-        # remainder dispatches as a shape batch once the model settles.
-        graphs, pairs = self._pairs()
+        _, pairs = self._pairs()
         reference = RunContext(batch=False)
         expected = [reference.wake_events(g, trace) for g, trace in pairs]
         assert RunContext().wake_events_batch(pairs) == expected
 
     def test_counts_shape_rounds_and_fills_the_cache(self):
-        graphs, pairs = self._pairs()
-        context = self._pinned_context(graphs)
+        _, pairs = self._pairs()
+        context = RunContext()
         results = context.wake_events_batch(pairs)
         assert context.stats.shape_rounds == 1
         assert context.stats.shape_cells == len(pairs)
@@ -310,8 +306,8 @@ class TestEngineShapeBatch:
         assert context.stats.shape_rounds == 1
 
     def test_shape_batch_disabled_falls_back_per_fingerprint(self):
-        graphs, pairs = self._pairs()
-        context = self._pinned_context(graphs, shape_batch=False)
+        _, pairs = self._pairs()
+        context = RunContext(shape_batch=False)
         expected = [
             RunContext(batch=False).wake_events(g, t) for g, t in pairs
         ]
@@ -326,7 +322,7 @@ class TestEngineShapeBatch:
             for k, duration in enumerate(RAGGED_S)
         ]
         pairs = [(graphs[0], trace) for trace in traces]
-        context = self._pinned_context(graphs)
+        context = RunContext()
         context.wake_events_batch(pairs)
         assert context.stats.shape_rounds == 0
         assert context.stats.batch_rounds == 1
@@ -347,9 +343,122 @@ class TestEngineShapeBatch:
             for k, duration in enumerate(RAGGED_S)
         ]
         pairs = list(zip(graphs, traces))
-        context = self._pinned_context(graphs)
+        context = RunContext()
         reference = RunContext(batch=False)
         expected = [reference.wake_events(g, t) for g, t in pairs]
         assert context.wake_events_batch(pairs) == expected
         assert context.stats.shape_rounds == 2
         assert context.stats.shape_cells == len(pairs)
+
+    def test_shape_group_asks_the_cost_model_once(self):
+        graphs, pairs = self._pairs()
+        context = RunContext()
+        asked = []
+        choose = context.cost_model.choose
+        context.cost_model.choose = (
+            lambda key, allowed: asked.append(key) or choose(key, allowed)
+        )
+        context.wake_events_batch(pairs)
+        assert asked == [shape_signature(graphs[0])]
+        assert context.stats.shape_rounds == 1
+
+    def test_pinned_shape_files_each_row_under_both_keys(self):
+        # The shape key pinned to the round interpreter: the group runs
+        # row by row at that tier, and each run is filed under its own
+        # fingerprint and under the shape key.
+        graphs, pairs = self._pairs()
+        sig = shape_signature(graphs[0])
+        context = RunContext(cost_model=CostModel(table={sig: "rounds"}))
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        assert context.stats.shape_rounds == 0
+        assert context.stats.batch_rounds == 0
+        ledger = context.cost_model.as_dict()
+        assert set(ledger) == {sig} | {
+            program_fingerprint(graph.program) for graph in graphs
+        }
+        assert {key: list(tiers) for key, tiers in ledger.items()} == {
+            key: ["rounds"] for key in ledger
+        }
+        assert ledger[sig]["rounds"]["runs"] == len(pairs)
+
+    def test_pinned_fingerprint_leaves_its_shape_group(self):
+        # Two retuned copies of one shape, one pinned to the round
+        # interpreter: it runs its pinned tier, the other runs
+        # compiled, and no shape dispatch mixes them.
+        pinned, free = _graph(_retuned(0.05)), _graph(_retuned(0.35))
+        traces = [
+            _trace(f"p{k}", duration, seed=k)
+            for k, duration in enumerate(RAGGED_S[:2])
+        ]
+        pairs = [(graph, trace) for graph in (pinned, free) for trace in traces]
+        pinned_fp = program_fingerprint(pinned.program)
+        context = RunContext(cost_model=CostModel(table={pinned_fp: "rounds"}))
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        ledger = context.cost_model.as_dict()
+        assert set(ledger) == {pinned_fp, program_fingerprint(free.program)}
+        assert set(ledger[pinned_fp]) == {"rounds"}
+        assert set(ledger[program_fingerprint(free.program)]) == {"compiled"}
+        assert context.stats.shape_rounds == 0
+        assert context.stats.batch_rounds == 1
+
+    def test_retuned_registry_audio_runs_rounds_by_default(self):
+        # Retuned copies of a registry audio condition share its shape,
+        # which the shipped table pins to the round interpreter: the
+        # shape group runs row by row, never as a compiled dispatch.
+        base = RunContext().compile(SirenDetectorApp().build_wakeup_pipeline())
+        text = format_program(base.program)
+        assert "min_hz=850.0" in text
+        graphs = [
+            _graph(text.replace("min_hz=850.0", f"min_hz={hz}"))
+            for hz in (820.0, 880.0)
+        ]
+        pairs = list(zip(graphs, audio_corpus(duration_s=60.0)))
+        context = RunContext()
+        reference = RunContext(batch=False)
+        expected = [reference.wake_events(g, t) for g, t in pairs]
+        assert context.wake_events_batch(pairs) == expected
+        assert context.stats.shape_rounds == 0
+        sig = shape_signature(graphs[0])
+        assert CALIBRATED_TABLE[sig] == "rounds"
+        assert list(context.cost_model.as_dict()[sig]) == ["rounds"]
+
+    def test_timing_cannot_move_the_path(self, monkeypatch):
+        # The same work twice in fresh contexts: one condition over
+        # several traces, then retuned copies of it.  The second run's
+        # engine clock jumps 50 ms per reading, so every run looks
+        # slow; the tiers, the dispatches and the ledger's runs must
+        # not notice.
+        traces = [
+            _trace(f"c{k}", duration, seed=k)
+            for k, duration in enumerate(RAGGED_S)
+        ]
+        same = _graph(_retuned(0.25))
+        retuned = [_graph(_retuned(t)) for t in (0.05, 0.15, 0.35, 0.45)]
+        work = [[(same, trace) for trace in traces], list(zip(retuned, traces))]
+
+        def drive():
+            context = RunContext()
+            events = [context.wake_events_batch(pairs) for pairs in work]
+            ledger = {
+                key: {
+                    tier: (entry["runs"], entry["items"])
+                    for tier, entry in tiers.items()
+                }
+                for key, tiers in context.cost_model.as_dict().items()
+            }
+            return events, context.stats.as_dict(), ledger
+
+        real = drive()
+        assert real[1]["batch_rounds"] == 1
+        assert real[1]["shape_rounds"] == 1
+        readings = itertools.count()
+        monkeypatch.setattr(
+            engine,
+            "time",
+            SimpleNamespace(perf_counter=lambda: 0.05 * next(readings)),
+        )
+        assert drive() == real
