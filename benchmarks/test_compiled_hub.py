@@ -77,9 +77,18 @@ def _timed(fn):
 TIER_KEYS = {"rounds": "round_s", "fused": "fused_s", "compiled": "compiled_s"}
 
 
+#: Interleaved runs per tier of every timing below; the fastest counts,
+#: so one slow reading on a shared host cannot flip the order or decide
+#: the speedup floor.
+ENGINE_REPEATS = 5
+
+
 def _time_app(ctx, app, traces):
     """Run one app's condition through all three tiers over ``traces``,
-    and record which tier the engine's cost model chooses for it."""
+    and record which tier the engine's cost model chooses for it.
+
+    Each tier's time per trace is the best of ``ENGINE_REPEATS``
+    interleaved runs."""
     graph = ctx.compile(app.build_wakeup_pipeline())
     assert compile_eligibility(graph) is None, app.name
     plan = compile_graph(graph)
@@ -95,19 +104,25 @@ def _time_app(ctx, app, traces):
             for name, triple in arrays.items()
             if name in graph.channels
         }
-        graph.reset()
-        by_rounds, dt = _timed(
-            lambda: HubRuntime(graph).run(split_into_rounds(channels, 4.0))
-        )
-        row["round_s"] += dt
-        graph.reset()
-        fused, dt = _timed(lambda: HubRuntime(graph).run_fused(channels, 4.0))
-        row["fused_s"] += dt
         plan.execute(channels)  # touch the big buffers once (page faults)
-        compiled, dt = _timed(lambda: plan.execute(channels))
-        row["compiled_s"] += dt
-        # The whole point: three tiers, one answer, bit for bit.
-        assert compiled == fused == by_rounds
+        best = dict.fromkeys(TIER_KEYS, float("inf"))
+        for _ in range(ENGINE_REPEATS):
+            graph.reset()
+            by_rounds, dt = _timed(
+                lambda: HubRuntime(graph).run(split_into_rounds(channels, 4.0))
+            )
+            best["rounds"] = min(best["rounds"], dt)
+            graph.reset()
+            fused, dt = _timed(
+                lambda: HubRuntime(graph).run_fused(channels, 4.0)
+            )
+            best["fused"] = min(best["fused"], dt)
+            compiled, dt = _timed(lambda: plan.execute(channels))
+            best["compiled"] = min(best["compiled"], dt)
+            # The whole point: three tiers, one answer, bit for bit.
+            assert compiled == fused == by_rounds
+        for tier, key in TIER_KEYS.items():
+            row[key] += best[tier]
         row["wake_events"] += len(compiled)
     selected = CostModel().choose(fingerprint, list(TIER_KEYS))
     row["selected_tier"] = selected
@@ -116,11 +131,6 @@ def _time_app(ctx, app, traces):
     for key in ("round_s", "fused_s", "compiled_s"):
         row[key] = round(row[key], 4)
     return row
-
-
-#: Interleaved runs per tier of the engine-path timing; the fastest
-#: counts, so one slow reading on a shared host cannot flip the order.
-ENGINE_REPEATS = 5
 
 
 def _engine_seconds(graph, traces):

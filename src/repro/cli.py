@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms.base import available_opcodes
 from repro.api.compile import compile_pipeline
@@ -214,7 +215,9 @@ def _print_execution(matrix, verbose: bool) -> None:
         f"batch {stats['batch_rounds']} rounds/"
         f"{stats['batched_cells']} cells | "
         f"shape {stats['shape_rounds']} rounds/"
-        f"{stats['shape_cells']} cells",
+        f"{stats['shape_cells']} cells | "
+        f"merge {stats['merge_rounds']} rounds/"
+        f"{stats['merged_cells']} cells",
         file=sys.stderr,
     )
     valid = stats["batch_valid_cells"]
@@ -340,8 +343,20 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         response_digest,
         run_fleet,
     )
+    # One engine-context factory for every cluster a run builds, so
+    # --no-batch / --no-shape-batch reach the closed-loop, open-loop
+    # and streamed clusters alike.
+    context_factory = None
+    if args.no_batch or args.no_shape_batch:
+        from repro.sim.engine import RunContext
+
+        context_factory = partial(
+            RunContext,
+            batch=not args.no_batch,
+            shape_batch=not args.no_shape_batch,
+        )
     if args.stream:
-        return _serve_bench_stream(args)
+        return _serve_bench_stream(args, context_factory)
     shards = args.shards if args.shards is not None else 1
     if args.kill_shard is not None and not (0 <= args.kill_shard < shards):
         print(f"--kill-shard must be in [0, {shards})", file=sys.stderr)
@@ -359,21 +374,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         max_submissions=2 if args.quick else 3,
     )
     if args.open_loop is not None:
-        return _serve_bench_open_loop(args, shards, traces, spec)
-    submissions = fleet_workload(spec, all_applications(), list(traces.values()))
-    cluster_kwargs: Dict[str, object] = dict(
-        quota=TenantQuota(max_pending=args.max_pending),
-        capacity=args.capacity,
-        jobs=args.jobs,
-        shards=shards,
-    )
-    if args.no_batch or args.no_shape_batch:
-        from repro.sim.engine import RunContext
-
-        cluster_kwargs["context_factory"] = lambda: RunContext(
-            batch=not args.no_batch,
-            shape_batch=not args.no_shape_batch,
+        return _serve_bench_open_loop(
+            args, shards, traces, spec, context_factory
         )
+    submissions = fleet_workload(spec, all_applications(), list(traces.values()))
     faults = None
     if args.kill_shard is not None:
         faults = {
@@ -385,7 +389,14 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     elif args.kill_after:
         faults = {0: ServiceFaultPlan(kill_after_accepts=args.kill_after)}
     cluster = ShardCluster(
-        traces, journal_dir=args.journal, faults=faults, **cluster_kwargs
+        traces,
+        quota=TenantQuota(max_pending=args.max_pending),
+        capacity=args.capacity,
+        jobs=args.jobs,
+        shards=shards,
+        journal_dir=args.journal,
+        faults=faults,
+        context_factory=context_factory,
     )
     try:
         report = run_fleet(cluster, submissions, pump_every=args.pump_every)
@@ -411,7 +422,9 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_bench_stream(args: argparse.Namespace) -> int:
+def _serve_bench_stream(
+    args: argparse.Namespace, context_factory: Optional[Callable]
+) -> int:
     """The ``--stream`` benchmark: streamed ingestion vs whole-trace replay.
 
     Drives one seeded streamed fleet (devices pushing chunks round by
@@ -469,6 +482,7 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         journal_dir=args.journal,
         faults=faults,
+        context_factory=context_factory,
     )
     try:
         streamed = run_stream_fleet(
@@ -480,7 +494,9 @@ def _serve_bench_stream(args: argparse.Namespace) -> int:
     stream_metrics = streamed.metrics.merged
 
     traces, submissions = stream_replay_workload(plans)
-    replay_cluster = ShardCluster(traces, shards=shards, jobs=args.jobs)
+    replay_cluster = ShardCluster(
+        traces, shards=shards, jobs=args.jobs, context_factory=context_factory
+    )
     try:
         replay = run_fleet(
             replay_cluster, submissions, pump_every=args.pump_every
@@ -563,6 +579,7 @@ def _serve_bench_open_loop(
     shards: int,
     traces: Dict[str, Trace],
     spec,
+    context_factory: Optional[Callable],
 ) -> int:
     """The ``--open-loop RATE`` overload sweep (simulated time).
 
@@ -595,6 +612,7 @@ def _serve_bench_open_loop(
             jobs=args.jobs,
             shards=shards,
             clock_factory=lambda: clock,
+            context_factory=context_factory,
         )
 
     ospec = OpenLoopSpec(

@@ -74,7 +74,8 @@ def merge_programs(programs: Sequence[ILProgram]) -> MergedProgram:
 
     Args:
         programs: One program per wake-up condition.  Each is validated
-            individually first; the merged result is validated too.
+            individually first; the merged result is built by
+            :func:`merged_graph`, whose structural checks those cover.
 
     Returns:
         A :class:`MergedProgram` with one OUT tap per input program.
@@ -167,9 +168,9 @@ class MultiTapRuntime:
     """Interpreter for a merged program with one event stream per tap.
 
     Wraps a :class:`~repro.hub.runtime.HubRuntime` over the merged graph
-    and, after each round, reads every tap node's result record — the
-    shared upstream nodes run exactly once per round regardless of how
-    many conditions consume them.
+    that turns every tap node's emissions into wake events the way it
+    does OUT's — the shared upstream nodes run exactly once per round
+    regardless of how many conditions consume them.
     """
 
     def __init__(self, merged: MergedProgram):
@@ -184,28 +185,11 @@ class MultiTapRuntime:
         identical), the dictionary carries that tap once; callers keep
         their own tap -> condition mapping.
         """
-        self._runtime.feed(channel_chunks)
-        events: Dict[int, List[WakeEvent]] = {}
-        for tap in self.merged.taps:
-            state = self._runtime.states[tap]
-            if state.has_result and state.result is not None:
-                events[tap] = [
-                    WakeEvent(float(t), float(v))
-                    for t, v in zip(state.result.times, state.result.values)
-                ]
-            else:
-                events[tap] = []
-        return events
+        return self._runtime.feed(channel_chunks, self.merged.taps)
 
     def run(self, rounds) -> Dict[int, List[WakeEvent]]:
         """Feed every round; return accumulated events per tap."""
-        accumulated: Dict[int, List[WakeEvent]] = {
-            tap: [] for tap in self.merged.taps
-        }
-        for chunks in rounds:
-            for tap, events in self.feed(chunks).items():
-                accumulated[tap].extend(events)
-        return accumulated
+        return self._runtime.run(rounds, self.merged.taps)
 
     def reset(self) -> None:
         """Reset all interpreter state."""

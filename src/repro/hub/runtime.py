@@ -12,7 +12,8 @@ This implementation preserves those semantics while processing data in
 chunks: per round, each node consumes the chunks its inputs produced
 this round, and its output (if the ``has_result`` flag is set) flows to
 its consumers within the same round.  Items emitted by the output node
-become :class:`WakeEvent` records.
+(or, for a merged graph, by each condition's tap node) become
+:class:`WakeEvent` records.
 
 Multi-input nodes are item-synchronized: the runtime buffers each input
 port and invokes the algorithm on the longest aligned prefix, so a
@@ -23,7 +24,7 @@ moving averages warm up across chunk boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,16 +75,25 @@ class HubRuntime:
         for state in self.states.values():
             state.reset()
 
-    def feed(self, channel_chunks: Dict[str, Chunk]) -> List[WakeEvent]:
+    def feed(
+        self,
+        channel_chunks: Dict[str, Chunk],
+        taps: Optional[Sequence[int]] = None,
+    ) -> Union[List[WakeEvent], Dict[int, List[WakeEvent]]]:
         """Process one round of sensor data.
 
         Args:
             channel_chunks: Chunk of new raw samples per channel name.
                 Every channel the graph reads must be present (possibly
                 empty).
+            taps: Node ids whose emissions are wake events.  ``None``
+                means OUT alone; a merged graph
+                (:mod:`repro.hub.merge`) taps each condition's own
+                output node.
 
         Returns:
-            Wake events produced this round, in time order.
+            Wake events produced this round, in time order: OUT's
+            list, or with ``taps`` one list per tap node id.
 
         Raises:
             HubExecutionError: when a channel the condition reads has
@@ -95,8 +105,11 @@ class HubRuntime:
                 f"feed() missing chunks for channels {missing}"
             )
 
+        out_id = self.graph.output_id
+        tapped: Dict[int, List[WakeEvent]] = {
+            node_id: [] for node_id in (taps if taps is not None else (out_id,))
+        }
         round_outputs: Dict[int, Chunk] = {}
-        events: List[WakeEvent] = []
         for node in self.graph.nodes:
             state = self.states[node.node_id]
             inputs = self._gather_inputs(node.inputs, channel_chunks, round_outputs)
@@ -116,19 +129,33 @@ class HubRuntime:
             output = node.algorithm.process(inputs)
             state.record_result(output)
             round_outputs[node.node_id] = output
-            if node.node_id == self.graph.output_id and state.has_result:
+            events = tapped.get(node.node_id)
+            if events is not None and state.has_result:
                 events.extend(
                     WakeEvent(float(t), float(v))
                     for t, v in zip(output.times, np.atleast_1d(output.values))
                 )
-        return events
+        return tapped if taps is not None else tapped[out_id]
 
-    def run(self, rounds: Iterable[Dict[str, Chunk]]) -> List[WakeEvent]:
-        """Feed every round and return all wake events."""
-        events: List[WakeEvent] = []
+    def run(
+        self,
+        rounds: Iterable[Dict[str, Chunk]],
+        taps: Optional[Sequence[int]] = None,
+    ) -> Union[List[WakeEvent], Dict[int, List[WakeEvent]]]:
+        """Feed every round and return all wake events.
+
+        With ``taps`` (see :meth:`feed`), one list per tap node id.
+        """
+        if taps is None:
+            events: List[WakeEvent] = []
+            for chunks in rounds:
+                events.extend(self.feed(chunks))
+            return events
+        tapped: Dict[int, List[WakeEvent]] = {node_id: [] for node_id in taps}
         for chunks in rounds:
-            events.extend(self.feed(chunks))
-        return events
+            for node_id, events in self.feed(chunks, taps).items():
+                tapped[node_id].extend(events)
+        return tapped
 
     def run_fused(
         self,

@@ -169,6 +169,11 @@ def merge_snapshots(
         shape_cells=sum(snap.shape_cells for snap in per_shard),
         batch_padded_cells=sum(snap.batch_padded_cells for snap in per_shard),
         batch_valid_cells=sum(snap.batch_valid_cells for snap in per_shard),
+        merge_rounds=sum(snap.merge_rounds for snap in per_shard),
+        merged_cells=sum(snap.merged_cells for snap in per_shard),
+        merge_shared_nodes=sum(
+            snap.merge_shared_nodes for snap in per_shard
+        ),
         stream_chunks=sum(snap.stream_chunks for snap in per_shard),
         stream_subscriptions=sum(
             snap.stream_subscriptions for snap in per_shard

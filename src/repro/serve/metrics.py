@@ -110,6 +110,12 @@ class MetricsSnapshot:
             channel-tensor cells across every stacked dispatch; their
             ratio is the padding waste the engine's splitting guard
             keeps bounded.
+        merge_rounds: Merged-graph interpreter runs — round-interpreter
+            conditions over one recording run as one merged graph.
+        merged_cells: Per-trace hub runs those merged runs answered
+            (``merged_cells / merge_rounds`` is the mean merge size).
+        merge_shared_nodes: Node instances the merged runs skipped
+            because another condition's identical node already ran.
         health_state: The :class:`~repro.serve.health.HealthMonitor`
             verdict (``"healthy"`` / ``"degraded"``) at snapshot time.
         health_transitions: Every ``(now, from, to)`` health transition
@@ -155,6 +161,9 @@ class MetricsSnapshot:
     shape_cells: int = 0
     batch_padded_cells: int = 0
     batch_valid_cells: int = 0
+    merge_rounds: int = 0
+    merged_cells: int = 0
+    merge_shared_nodes: int = 0
     stream_chunks: int = 0
     stream_subscriptions: int = 0
     stream_backlog: int = 0
@@ -219,6 +228,9 @@ class MetricsSnapshot:
             "batch_padded_cells": self.batch_padded_cells,
             "batch_valid_cells": self.batch_valid_cells,
             "batch_padding_ratio": self.batch_padding_ratio,
+            "merge_rounds": self.merge_rounds,
+            "merged_cells": self.merged_cells,
+            "merge_shared_nodes": self.merge_shared_nodes,
             "stream_chunks": self.stream_chunks,
             "stream_subscriptions": self.stream_subscriptions,
             "stream_backlog": self.stream_backlog,
@@ -251,6 +263,9 @@ class MetricsSnapshot:
                 f"shape rounds {self.shape_rounds} | shape cells "
                 f"{self.shape_cells} | occupancy {self.shape_occupancy:.1f} | "
                 f"padding ratio {self.batch_padding_ratio:.2f}",
+                f"merge rounds {self.merge_rounds} | merged cells "
+                f"{self.merged_cells} | shared nodes "
+                f"{self.merge_shared_nodes}",
                 f"stream chunks {self.stream_chunks} | subs "
                 f"{self.stream_subscriptions} | backlog "
                 f"{self.stream_backlog} | lag {self.stream_lag_s:.2f}s | "
@@ -307,6 +322,9 @@ class MetricsRecorder:
         shape_cells: int = 0,
         batch_padded_cells: int = 0,
         batch_valid_cells: int = 0,
+        merge_rounds: int = 0,
+        merged_cells: int = 0,
+        merge_shared_nodes: int = 0,
         stream_chunks: int = 0,
         stream_subscriptions: int = 0,
         stream_backlog: int = 0,
@@ -350,6 +368,9 @@ class MetricsRecorder:
             shape_cells=shape_cells,
             batch_padded_cells=batch_padded_cells,
             batch_valid_cells=batch_valid_cells,
+            merge_rounds=merge_rounds,
+            merged_cells=merged_cells,
+            merge_shared_nodes=merge_shared_nodes,
             stream_chunks=stream_chunks,
             stream_subscriptions=stream_subscriptions,
             stream_backlog=stream_backlog,

@@ -20,7 +20,11 @@ coalescing.  Every scheduling round:
    :class:`~repro.sim.engine.RunContext`, with dedup-missed work across
    tenants and traces stacked into tensor-major batched plans
    (:meth:`~repro.sim.engine.RunContext.wake_events_batch`) per pump
-   round;
+   round, and the round's round-interpreter conditions over one
+   recording run as one merged graph (the paper's §7 pipeline
+   merging); a failed batched or merged run falls back to per-key
+   execution, so each request gets its own answer or its own
+   :class:`Failed`;
 4. results fan back out to every coalesced subscriber, and land in a
    bounded cross-round memo so later identical submissions coalesce
    without re-entering the engine at all.
@@ -167,6 +171,21 @@ class Scheduler:
     def batch_valid_cells(self) -> int:
         """Valid (non-padding) cells across stacked dispatches."""
         return self._context.stats.batch_valid_cells
+
+    @property
+    def merge_rounds(self) -> int:
+        """Merged-graph interpreter runs the context has run."""
+        return self._context.stats.merge_rounds
+
+    @property
+    def merged_cells(self) -> int:
+        """Per-trace hub runs those merged runs answered."""
+        return self._context.stats.merged_cells
+
+    @property
+    def merge_shared_nodes(self) -> int:
+        """Node instances the merged runs did not run twice."""
+        return self._context.stats.merge_shared_nodes
 
     # -- registry views the service validates against -------------------
 
@@ -380,10 +399,12 @@ class Scheduler:
             # One tensor-major dispatch per (pump round, chunking):
             # dedup-missed conditions across tenants and traces stack
             # into batched plans where the engine's cost model chooses
-            # the compiled tier; the rest run per-trace inside the
-            # same call.  Bit-identical either way, so a
-            # batch failure (e.g. one member's missing channel) simply
-            # re-runs the group per key to preserve per-request errors.
+            # the compiled tier, round-interpreter conditions of one
+            # recording run as one merged graph, and the rest run
+            # per-trace inside the same call.  Bit-identical either
+            # way, so a batch failure (e.g. one member's missing
+            # channel, or a failed merged run) simply re-runs the group
+            # per key to preserve per-request errors.
             batched: Optional[List[tuple]] = None
             try:
                 batched = self._context.wake_events_batch(

@@ -548,6 +548,9 @@ class ConditionService:
             shape_cells=self._scheduler.shape_cells,
             batch_padded_cells=self._scheduler.batch_padded_cells,
             batch_valid_cells=self._scheduler.batch_valid_cells,
+            merge_rounds=self._scheduler.merge_rounds,
+            merged_cells=self._scheduler.merged_cells,
+            merge_shared_nodes=self._scheduler.merge_shared_nodes,
             stream_chunks=self._ingest.chunks,
             stream_subscriptions=self._ingest.subscriptions,
             stream_backlog=self._ingest.backlog,

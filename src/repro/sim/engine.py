@@ -40,6 +40,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -59,6 +60,7 @@ from repro.hub.compile import (
     structural_key,
 )
 from repro.hub.costmodel import CostModel
+from repro.hub.merge import merge_programs, merged_graph
 from repro.hub.runtime import (
     HubRuntime,
     WakeEvent,
@@ -117,6 +119,12 @@ class CacheStats:
             allocated vs actually valid across every stacked dispatch
             (homogeneous and shape-keyed); their ratio is the padding
             waste the splitting guard keeps bounded.
+        merge_rounds / merged_cells: Merged-graph interpreter runs —
+            round-interpreter rows of one recording run as one merged
+            graph — and the rows they answered (each also a
+            ``hub_miss``).
+        merge_shared_nodes: Node instances those merged runs did not
+            run because another row's identical node already did.
     """
 
     compile_hits: int = 0
@@ -135,6 +143,9 @@ class CacheStats:
     shape_cells: int = 0
     batch_padded_cells: int = 0
     batch_valid_cells: int = 0
+    merge_rounds: int = 0
+    merged_cells: int = 0
+    merge_shared_nodes: int = 0
 
     @property
     def total_hits(self) -> int:
@@ -170,7 +181,25 @@ class CacheStats:
             "shape_cells": self.shape_cells,
             "batch_padded_cells": self.batch_padded_cells,
             "batch_valid_cells": self.batch_valid_cells,
+            "merge_rounds": self.merge_rounds,
+            "merged_cells": self.merged_cells,
+            "merge_shared_nodes": self.merge_shared_nodes,
         }
+
+
+class _Row(NamedTuple):
+    """One uncached (condition, trace) run of a batched call.
+
+    ``group_key`` is the shape signature of the shape group the row
+    came from (its runs are filed under it too), else ``None``;
+    ``indices`` are the input positions the row answers.
+    """
+
+    fp: str
+    group_key: Optional[str]
+    graph: DataflowGraph
+    trace: Trace
+    indices: List[int]
 
 
 class RunContext:
@@ -199,10 +228,13 @@ class RunContext:
             through this context's fault-free interpretation.
         batch: When True (default) :meth:`wake_events_batch` may stack
             same-condition work from many traces into one tensor-major
-            execution (:class:`repro.hub.compile.BatchedPlan`).  The
+            execution (:class:`repro.hub.compile.BatchedPlan`), and
+            runs the round-interpreter conditions that share a
+            recording as one merged graph
+            (:func:`repro.hub.merge.merge_programs`).  The
             ``--no-batch`` escape hatch sets this False; wake events
-            are bit-identical either way — batching only changes how
-            many numpy dispatches compute them.
+            are bit-identical either way — batching and merging only
+            change how many dispatches and node runs compute them.
         shape_batch: When True (default) :meth:`wake_events_batch` may
             additionally merge *different* fingerprints that share one
             graph shape (:func:`repro.hub.compile.shape_signature`)
@@ -481,17 +513,21 @@ class RunContext:
         graph: DataflowGraph,
         trace: Trace,
         chunk_seconds: float,
+        tier: Optional[str] = None,
         group_key: Optional[str] = None,
     ) -> List[WakeEvent]:
+        """One condition over one trace at ``tier`` (asked when ``None``).
+
+        The run's seconds are filed under the fingerprint and, for a row
+        of a shape group, also under the group's ``group_key``.
+        """
         channels = self._trace_channels(graph.channels, trace)
         plan = self.compiled_plan(graph) if self.compiled else None
         fp = self.fingerprint(graph.program)
-        # Every tier is bit-identical, so the cost model only picks the
-        # way to the same events.  A row of a shape group runs the
-        # tier its group key chooses, and its timing is filed under
-        # both keys.
-        key = group_key or fp
-        tier = self.cost_model.choose(key, self._allowed_tiers(graph, plan))
+        if tier is None:
+            # Every tier is bit-identical, so the cost model only picks
+            # the way to the same events.
+            tier = self.cost_model.choose(fp, self._allowed_tiers(graph, plan))
         items = sum(len(triple[0]) for triple in channels.values())
         start = time.perf_counter()
         if tier == "compiled":
@@ -509,8 +545,8 @@ class RunContext:
                 events = runtime.run(split_into_rounds(channels, chunk_seconds))
         elapsed = time.perf_counter() - start
         self.cost_model.observe(fp, tier, elapsed, items)
-        if key != fp:
-            self.cost_model.observe(key, tier, elapsed, items)
+        if group_key is not None:
+            self.cost_model.observe(group_key, tier, elapsed, items)
         return events
 
     def wake_events_batch(
@@ -523,14 +559,16 @@ class RunContext:
         Bit-identical to calling :meth:`wake_events` per pair, in input
         order — batching only changes how the uncached work is computed.
         Cached pairs are served as usual; the rest group by condition
-        fingerprint.  A group of two or more batch-eligible rows whose
-        cost-model tier is ``compiled`` goes tensor-major: one
+        fingerprint, and each group asks the cost model for its tier
+        once.  A group of two or more batch-eligible rows on
+        ``compiled`` goes tensor-major: one
         :meth:`repro.hub.compile.BatchedPlan.execute_batch` dispatch
-        per rate signature.  Anything else — ineligible graphs, a
-        group on another tier, a lone row, a context with
-        ``batch``/``cache``/``compiled`` off — runs per trace at its
-        tier.  Results are cached under the same keys either way, so
-        later :meth:`wake_events` calls hit.
+        per rate signature.  Rows on ``fused``, lone ``compiled`` rows
+        and ineligible graphs run per trace at their group's tier.
+        Results are cached under the same keys either way, so later
+        :meth:`wake_events` calls hit.  A context with
+        ``batch``/``cache``/``compiled`` off runs every pair through
+        :meth:`wake_events`.
 
         With ``shape_batch`` on (the default), batch-eligible
         fingerprints with no table entry of their own that share a
@@ -540,20 +578,27 @@ class RunContext:
         (:meth:`_run_shape_group`).  A pinned fingerprint runs its
         pinned tier.
 
+        Rows on ``rounds`` — per-fingerprint and shape-group rows alike
+        — are pooled last and grouped by (trace, set of channels read).
+        A group of two or more runs as one merged graph
+        (:func:`repro.hub.merge.merge_programs`, the paper's §7 pipeline
+        merging), interpreted once over the rounds each row would see
+        alone, so every shared node receives exactly the input it would
+        receive in the row's own graph (:meth:`_run_merged`).  A lone
+        rounds row runs as it would alone.
+
         Raises:
             HubExecutionError: when a trace lacks a channel its
-                condition reads.
+                condition reads — before any uncached work runs.
         """
         results: List[Optional[Tuple[WakeEvent, ...]]] = [None] * len(items)
         if not (self.batch and self.cache and self.compiled):
             for i, (graph, trace) in enumerate(items):
                 results[i] = self.wake_events(graph, trace, chunk_seconds)
             return results  # type: ignore[return-value]
-        # Group uncached work by condition fingerprint; one entry per
-        # distinct trace (duplicate pairs share the entry's result).
-        groups: Dict[
-            str, Dict[int, Tuple[DataflowGraph, Trace, List[int]]]
-        ] = {}
+        # Group uncached work by condition fingerprint; one row per
+        # distinct trace (duplicate pairs share the row's result).
+        groups: Dict[str, Dict[int, _Row]] = {}
         for i, (graph, trace) in enumerate(items):
             key = (
                 self.fingerprint(graph.program),
@@ -565,21 +610,21 @@ class RunContext:
                 self.stats.hub_hits += 1
                 results[i] = cached
                 continue
-            entry = groups.setdefault(key[0], {}).get(key[1])
-            if entry is None:
-                groups[key[0]][key[1]] = (graph, trace, [i])
+            row = groups.setdefault(key[0], {}).get(key[1])
+            if row is None:
+                # A missing channel raises before any uncached work runs.
+                self._trace_channels(graph.channels, trace)
+                groups[key[0]][key[1]] = _Row(key[0], None, graph, trace, [i])
             else:
-                entry[2].append(i)
+                row.indices.append(i)
         # Merge unpinned, batch-eligible fingerprint groups that share a
         # graph shape into heterogeneous groups (two or more distinct
         # fingerprints); everything else runs per fingerprint below.
-        shape_groups: Dict[
-            str, List[Tuple[str, List[Tuple[DataflowGraph, Trace, List[int]]]]]
-        ] = {}
+        shape_groups: Dict[str, List[_Row]] = {}
         if self.shape_batch:
             by_sig: Dict[str, List[str]] = {}
             for fp, members in groups.items():
-                graph = next(iter(members.values()))[0]
+                graph = next(iter(members.values())).graph
                 pinned = fp in self.cost_model.table
                 if pinned or self.batched_plan(graph) is None:
                     continue
@@ -588,44 +633,44 @@ class RunContext:
                 if len(fps) < 2:
                     continue
                 shape_groups[sig] = [
-                    (fp, list(groups.pop(fp).values())) for fp in fps
+                    row._replace(group_key=sig)
+                    for fp in fps
+                    for row in groups.pop(fp).values()
                 ]
+        rounds_rows: List[_Row] = []
         for fp, members in groups.items():
             rows = list(members.values())
-            graph = rows[0][0]
-            # Only two or more batch-eligible rows need the group's tier
-            # up front; a row that runs per trace asks for it itself.
-            bplan = self.batched_plan(graph) if len(rows) >= 2 else None
-            if bplan is not None:
-                allowed = self._allowed_tiers(graph, self.compiled_plan(graph))
-                if self.cost_model.choose(fp, allowed) != "compiled":
-                    bplan = None
+            graph = rows[0].graph
+            tier = self.cost_model.choose(
+                fp, self._allowed_tiers(graph, self.compiled_plan(graph))
+            )
+            if tier == "rounds":
+                rounds_rows.extend(rows)
+                continue
+            bplan = (
+                self.batched_plan(graph)
+                if tier == "compiled" and len(rows) >= 2
+                else None
+            )
             if bplan is None:
-                for row_graph, row_trace, indices in rows:
-                    events = self.wake_events(
-                        row_graph, row_trace, chunk_seconds
-                    )
-                    for i in indices:
-                        results[i] = events
+                self._run_rows(rows, tier, chunk_seconds, results)
                 continue
             # Rows must agree per channel on sampling rate to stack;
             # split by the rate signature (almost always one group).
-            by_rate: Dict[tuple, List[Tuple[Trace, List[int], Dict[str, tuple]]]] = {}
-            for _, row_trace, indices in rows:
-                channels = self._trace_channels(bplan.channels, row_trace)
+            by_rate: Dict[tuple, List[Tuple[_Row, Dict[str, tuple]]]] = {}
+            for row in rows:
+                channels = self._trace_channels(bplan.channels, row.trace)
                 sig = tuple(float(channels[name][2]) for name in bplan.channels)
-                by_rate.setdefault(sig, []).append((row_trace, indices, channels))
+                by_rate.setdefault(sig, []).append((row, channels))
             for sub in by_rate.values():
                 self._run_homogeneous_batch(
-                    fp,
-                    bplan,
-                    [(graph, row_trace, indices, channels)
-                     for row_trace, indices, channels in sub],
-                    chunk_seconds,
-                    results,
+                    fp, bplan, sub, chunk_seconds, results
                 )
-        for sig, parts in shape_groups.items():
-            self._run_shape_group(sig, parts, chunk_seconds, results)
+        for sig, rows in shape_groups.items():
+            self._run_shape_group(
+                sig, rows, chunk_seconds, results, rounds_rows
+            )
+        self._run_rounds_rows(rounds_rows, chunk_seconds, results)
         return results  # type: ignore[return-value]
 
     def _store(
@@ -645,29 +690,44 @@ class RunContext:
         for i in indices:
             results[i] = events
 
+    def _run_rows(
+        self,
+        rows: Sequence[_Row],
+        tier: str,
+        chunk_seconds: float,
+        results: List[Optional[Tuple[WakeEvent, ...]]],
+    ) -> None:
+        """Run rows one by one at their group's ``tier``, and cache them."""
+        for row in rows:
+            events = tuple(
+                self._interpret(
+                    row.graph, row.trace, chunk_seconds, tier, row.group_key
+                )
+            )
+            self._store(
+                row.fp, row.trace, chunk_seconds, events, row.indices, results
+            )
+
     def _run_homogeneous_batch(
         self,
         fp: str,
         bplan: BatchedPlan,
-        sub: List[Tuple[DataflowGraph, Trace, List[int], Dict[str, tuple]]],
+        sub: List[Tuple[_Row, Dict[str, tuple]]],
         chunk_seconds: float,
         results: List[Optional[Tuple[WakeEvent, ...]]],
     ) -> None:
         """Dispatch one same-fingerprint, same-rate batch (or singleton)."""
         if len(sub) == 1:
-            row_graph, row_trace, indices, _ = sub[0]
-            events = self.wake_events(row_graph, row_trace, chunk_seconds)
-            for i in indices:
-                results[i] = events
+            self._run_rows([sub[0][0]], "compiled", chunk_seconds, results)
             return
         total_items = sum(
             len(triple[0])
-            for _, _, _, channels in sub
+            for _, channels in sub
             for triple in channels.values()
         )
         start = time.perf_counter()
         batch_events, info = bplan.execute_batch_with_info(
-            [channels for _, _, _, channels in sub]
+            [channels for _, channels in sub]
         )
         self.cost_model.observe(
             fp, "compiled", time.perf_counter() - start, total_items
@@ -676,18 +736,19 @@ class RunContext:
         self.stats.batched_cells += len(sub)
         self.stats.batch_padded_cells += info.padded_cells
         self.stats.batch_valid_cells += info.valid_cells
-        for (_, row_trace, indices, _), row_events in zip(sub, batch_events):
+        for (row, _), row_events in zip(sub, batch_events):
             self._store(
-                fp, row_trace, chunk_seconds, tuple(row_events), indices,
+                fp, row.trace, chunk_seconds, tuple(row_events), row.indices,
                 results,
             )
 
     def _run_shape_group(
         self,
         sig: str,
-        parts: List[Tuple[str, List[Tuple[DataflowGraph, Trace, List[int]]]]],
+        rows: List[_Row],
         chunk_seconds: float,
         results: List[Optional[Tuple[WakeEvent, ...]]],
+        rounds_rows: List[_Row],
     ) -> None:
         """Run one heterogeneous (shared-shape) group of uncached work.
 
@@ -697,60 +758,52 @@ class RunContext:
         parameterized shape dispatch
         (:meth:`repro.hub.compile.BatchedPlan.execute_shape_batch`,
         whose padding guard may still split it).  On any other tier
-        each row runs per trace at the group's tier, filed in the
+        each row runs at the group's tier (``rounds`` rows are pooled
+        in ``rounds_rows`` for :meth:`_run_rounds_rows`), filed in the
         ledger under its own fingerprint and under the signature.
         """
-        rows: List[Tuple[str, DataflowGraph, Trace, List[int]]] = [
-            (fp, graph, trace, indices)
-            for fp, members in parts
-            for graph, trace, indices in members
-        ]
-        rep_graph = rows[0][1]
+        rep_graph = rows[0].graph
         allowed = self._allowed_tiers(rep_graph, self.compiled_plan(rep_graph))
-        if self.cost_model.choose(sig, allowed) != "compiled":
-            for fp, row_graph, row_trace, indices in rows:
-                events = tuple(
-                    self._interpret(row_graph, row_trace, chunk_seconds, sig)
-                )
-                self._store(
-                    fp, row_trace, chunk_seconds, events, indices, results
-                )
+        tier = self.cost_model.choose(sig, allowed)
+        if tier == "rounds":
+            rounds_rows.extend(rows)
+            return
+        if tier != "compiled":
+            self._run_rows(rows, tier, chunk_seconds, results)
             return
         # Rows must agree on non-liftable parameter values (structural
         # key) and per-channel sampling rates to share a stacked
         # dispatch; split accordingly (almost always one sub-group).
-        subgroups: Dict[
-            tuple,
-            List[Tuple[str, DataflowGraph, Trace, List[int], Dict[str, tuple]]],
-        ] = {}
-        for fp, row_graph, row_trace, indices in rows:
-            bplan = self.batched_plan(row_graph)
-            channels = self._trace_channels(bplan.channels, row_trace)
+        subgroups: Dict[tuple, List[Tuple[_Row, Dict[str, tuple]]]] = {}
+        for row in rows:
+            bplan = self.batched_plan(row.graph)
+            channels = self._trace_channels(bplan.channels, row.trace)
             rate_sig = tuple(
                 float(channels[name][2]) for name in bplan.channels
             )
-            key = (self.struct_key(row_graph), rate_sig)
-            subgroups.setdefault(key, []).append(
-                (fp, row_graph, row_trace, indices, channels)
-            )
+            key = (self.struct_key(row.graph), rate_sig)
+            subgroups.setdefault(key, []).append((row, channels))
         for sub in subgroups.values():
             if len(sub) == 1:
-                fp, row_graph, row_trace, indices, _ = sub[0]
-                events = self.wake_events(row_graph, row_trace, chunk_seconds)
-                for i in indices:
-                    results[i] = events
+                row = sub[0][0]
+                # A lone row runs its own plan, filed under its
+                # fingerprint only.
+                self._run_rows(
+                    [row._replace(group_key=None)], "compiled",
+                    chunk_seconds, results,
+                )
                 continue
             total_items = sum(
                 len(triple[0])
-                for *_, channels in sub
+                for _, channels in sub
                 for triple in channels.values()
             )
-            bplan = self.batched_plan(sub[0][1])
+            bplan = self.batched_plan(sub[0][0].graph)
             start = time.perf_counter()
             batch_events, info = bplan.execute_shape_batch_with_info(
                 [
-                    (self.compiled_plan(row_graph), channels)
-                    for _, row_graph, _, _, channels in sub
+                    (self.compiled_plan(row.graph), channels)
+                    for row, channels in sub
                 ]
             )
             self.cost_model.observe(
@@ -760,13 +813,71 @@ class RunContext:
             self.stats.shape_cells += len(sub)
             self.stats.batch_padded_cells += info.padded_cells
             self.stats.batch_valid_cells += info.valid_cells
-            for (fp, _, row_trace, indices, _), row_events in zip(
-                sub, batch_events
-            ):
+            for (row, _), row_events in zip(sub, batch_events):
                 self._store(
-                    fp, row_trace, chunk_seconds, tuple(row_events), indices,
-                    results,
+                    row.fp, row.trace, chunk_seconds, tuple(row_events),
+                    row.indices, results,
                 )
+
+    def _run_rounds_rows(
+        self,
+        rows: Sequence[_Row],
+        chunk_seconds: float,
+        results: List[Optional[Tuple[WakeEvent, ...]]],
+    ) -> None:
+        """Run the pooled ``rounds`` rows, merged per recording.
+
+        Rows group by (trace, sorted channel set): round edges come from
+        the channels :func:`repro.hub.runtime.split_into_rounds` is
+        given, so only rows reading exactly the same channels of one
+        trace see the same rounds.  A lone row runs as it would alone.
+        """
+        groups: Dict[Tuple[int, Tuple[str, ...]], List[_Row]] = {}
+        for row in rows:
+            key = (self._trace_key(row.trace), tuple(sorted(row.graph.channels)))
+            groups.setdefault(key, []).append(row)
+        for group in groups.values():
+            if len(group) == 1:
+                self._run_rows(group, "rounds", chunk_seconds, results)
+            else:
+                self._run_merged(group, chunk_seconds, results)
+
+    def _run_merged(
+        self,
+        rows: Sequence[_Row],
+        chunk_seconds: float,
+        results: List[Optional[Tuple[WakeEvent, ...]]],
+    ) -> None:
+        """Interpret rows of one recording as one merged graph.
+
+        Identical subcomputations run once
+        (:func:`repro.hub.merge.merge_programs`), and each row's events
+        are its own tap's.  The merged graph is built for this run and
+        dropped after it, so the rows' cached graphs hold no carry
+        state.  Each row is filed in the ledger as a ``rounds`` run with
+        an equal share of the merged run's seconds.
+        """
+        merged = merge_programs([row.graph.program for row in rows])
+        graph = merged_graph(merged)
+        trace = rows[0].trace
+        channels = self._trace_channels(graph.channels, trace)
+        items = sum(len(triple[0]) for triple in channels.values())
+        start = time.perf_counter()
+        tapped = HubRuntime(graph).run(
+            split_into_rounds(channels, chunk_seconds), merged.taps
+        )
+        share = (time.perf_counter() - start) / len(rows)
+        self.stats.merge_rounds += 1
+        self.stats.merged_cells += len(rows)
+        self.stats.merge_shared_nodes += merged.shared_nodes
+        for row, tap in zip(rows, merged.taps):
+            self.cost_model.observe(row.fp, "rounds", share, items)
+            if row.group_key is not None:
+                self.cost_model.observe(row.group_key, "rounds", share, items)
+            self._store(
+                row.fp, trace, chunk_seconds, tuple(tapped[tap]),
+                row.indices, results,
+            )
 
     # -- application detectors -----------------------------------------
 

@@ -1,8 +1,8 @@
 """Property-based tests: pipeline merging never changes semantics.
 
-For random pairs of valid pipelines, the merged multi-tap execution must
+For random sets of valid pipelines, the merged multi-tap execution must
 produce exactly the events each condition produces when run alone — on
-the same random input data.
+the same random input data, chunked into the same rounds.
 """
 
 import numpy as np
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from repro.api.compile import compile_pipeline
 from repro.hub.merge import MultiTapRuntime, merge_programs
-from repro.hub.runtime import HubRuntime
+from repro.hub.runtime import HubRuntime, split_into_rounds
 from repro.il.validate import validate_program
-from tests.conftest import scalar_chunk
 from tests.property.test_prop_il import random_pipeline
 
 
@@ -31,46 +30,34 @@ def _acc_data(seed, n=200):
     return data
 
 
-def _chunks(data, lo, hi, t0_offset=0.0):
-    return {
-        name: scalar_chunk(values[lo:hi], t0=lo / 50.0 + t0_offset)
-        for name, values in data.items()
-    }
+def _rounds(data, graph, chunk_seconds):
+    """The graph's channels, on one 50 Hz timeline, cut into rounds."""
+    return split_into_rounds(
+        {
+            name: (np.arange(len(values)) / 50.0, values, 50.0)
+            for name, values in data.items()
+            if name in graph.channels
+        },
+        chunk_seconds,
+    )
 
 
 @given(
     seed=st.integers(0, 2**31 - 1),
-    pipelines=st.tuples(random_pipeline(), random_pipeline()),
+    pipelines=st.lists(random_pipeline(), min_size=2, max_size=5),
+    chunk_seconds=st.floats(0.1, 5.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_merged_execution_equals_separate(seed, pipelines):
+def test_merged_execution_equals_separate(seed, pipelines, chunk_seconds):
     programs = [compile_pipeline(p) for p in pipelines]
     merged = merge_programs(programs)
     runtime = MultiTapRuntime(merged)
     data = _acc_data(seed)
-
-    merged_events = {tap: [] for tap in merged.taps}
-    for lo in range(0, 200, 50):
-        round_events = runtime.feed(_chunks(data, lo, lo + 50))
-        for tap, events in round_events.items():
-            merged_events[tap].extend(events)
-
+    merged_events = runtime.run(_rounds(data, runtime.graph, chunk_seconds))
     for program, tap in zip(programs, merged.taps):
-        reference_runtime = HubRuntime(validate_program(program))
-        reference = []
-        for lo in range(0, 200, 50):
-            chunks = {
-                name: chunk
-                for name, chunk in _chunks(data, lo, lo + 50).items()
-                if name in reference_runtime.graph.channels
-            }
-            reference.extend(reference_runtime.feed(chunks))
-        got = merged_events[tap]
-        assert len(got) == len(reference)
-        assert np.allclose([e.time for e in got], [e.time for e in reference])
-        assert np.allclose(
-            [e.value for e in got], [e.value for e in reference]
-        )
+        graph = validate_program(program)
+        reference = HubRuntime(graph).run(_rounds(data, graph, chunk_seconds))
+        assert merged_events[tap] == reference
 
 
 @given(pipelines=st.lists(random_pipeline(), min_size=1, max_size=4))

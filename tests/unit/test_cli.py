@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -137,6 +139,35 @@ def test_serve_bench_gives_each_shard_its_own_cost_model(
     assert len(models) >= 2
     assert len({id(model) for model in models}) == len(models)
     assert all(dict(model.table) == CALIBRATED_TABLE for model in models)
+
+
+def test_serve_bench_stream_honours_no_batch(tmp_path, capsys):
+    out = tmp_path / "nb.json"
+    assert main(["serve-bench", "--fleet", "24", "--seed", "5", "--quick",
+                 "--stream", "--no-batch", "--no-shape-batch",
+                 "--out", str(out)]) == 0
+    replay = json.loads(out.read_text())["stream"]["replay"]
+    counters = replay["metrics"]["merged"]
+    for key in ("batch_rounds", "batched_cells", "shape_rounds",
+                "shape_cells", "merge_rounds", "merged_cells"):
+        assert counters[key] == 0, key
+
+
+def test_serve_bench_open_loop_honours_no_batch(monkeypatch, capsys):
+    from repro.sim import engine
+
+    contexts = []
+
+    class RecordingContext(engine.RunContext):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(engine, "RunContext", RecordingContext)
+    assert main(["serve-bench", "--fleet", "8", "--quick", "--open-loop",
+                 "4", "--open-loop-duration", "2", "--no-batch"]) == 0
+    assert contexts
+    assert not any(context.batch for context in contexts)
 
 
 def test_figure6_verbose_prints_cache_counters(capsys):
