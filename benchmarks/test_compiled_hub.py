@@ -2,12 +2,13 @@
 
 For every application's wake-up condition over its native corpus
 (accelerometer apps on the robot traces, audio apps on the audio
-traces), this runs the same trace through all three hub execution
-tiers —
+traces), this runs the same trace through three ways of executing it —
 
 * **rounds** — the interpreter fed 4-second rounds, the way a real hub
   sees data arrive;
-* **fused** — the interpreter fed 64-round coalesced blocks;
+* **fused** — the interpreter fed 64-round coalesced blocks
+  (:meth:`repro.hub.runtime.HubRuntime.run_fused`, kept as the
+  reference the compiled tier must beat; the engine no longer runs it);
 * **compiled** — the whole-trace array program
   (:func:`repro.hub.compile.compile_graph`), no rounds at all —
 
@@ -16,25 +17,26 @@ per-app timings in ``results/BENCH_compile.json``.
 
 Each app's ``selected_tier`` is the tier the engine's default
 :class:`repro.hub.costmodel.CostModel` chooses for its condition: the
-calibrated table's entry, else the static ``compiled > fused > rounds``
-order.  The selection contract: no app's selected tier may be slower
-than the round-by-round interpreter — the table must never regress an
-app the way the static order alone regresses the bandwidth-bound audio
-suite.
+calibrated table's entry, else the static ``compiled > rounds`` order
+(:data:`repro.hub.costmodel.TIER_PREFERENCE`).  The selection
+contract: no app's selected tier may be slower than the round-by-round
+interpreter — the table must never regress an app the way the static
+order alone regresses the bandwidth-bound audio suite.
 
 A table entry also decides how the engine runs a fingerprint group of
 two or more traces: on ``compiled`` as one stacked batched dispatch,
-else trace by trace.  For every app the table pins, the engine's
-``wake_events_batch`` over the suite's traces is timed with the entry
-set to each tier in turn (``engine_s``), and the pinned tier must be
-within 5% of the fastest, or the table is stale.
+on ``rounds`` trace by trace.  For every app the table pins, the
+engine's ``wake_events_batch`` over the suite's traces is timed with
+the entry set to each of the engine's tiers in turn (``engine_s``),
+and the pinned tier must be within 5% of the fastest, or the table is
+stale.
 
 The headline floor applies to the accelerometer suite: at 50 Hz the
 per-round interpreter overhead dominates, which is exactly what the
-compiled tier removes, so it must beat the fused tier it replaced as
-the engine default by ``MIN_COMPILED_SPEEDUP``.  The 8 kHz audio
-pipelines are the other regime — frame batches are large enough that
-numpy FFT work and memory bandwidth dominate and the three tiers
+compiled tier removes, so it must beat the fused interpreter it
+replaced as the engine default by ``MIN_COMPILED_SPEEDUP``.  The 8 kHz
+audio pipelines are the other regime — frame batches are large enough
+that numpy FFT work and memory bandwidth dominate and the three tiers
 converge — so their timings are recorded for the trajectory but carry
 no floor.
 
@@ -124,7 +126,7 @@ def _time_app(ctx, app, traces):
         for tier, key in TIER_KEYS.items():
             row[key] += best[tier]
         row["wake_events"] += len(compiled)
-    selected = CostModel().choose(fingerprint, list(TIER_KEYS))
+    selected = CostModel().choose(fingerprint, TIER_PREFERENCE)
     row["selected_tier"] = selected
     row["calibrated"] = fingerprint in CALIBRATED_TABLE
     row["selected_s"] = round(row[TIER_KEYS[selected]], 4)
@@ -226,12 +228,13 @@ def test_compiled_hub_tiers(benchmark, robot_traces, audio_traces):
         )
         + "\n\n"
         + render_table(
-            ["app", "rounds (s)", "fused (s)", "compiled (s)", "selected"],
+            ["app", *(f"{tier} (s)" for tier in TIER_PREFERENCE),
+             "selected"],
             [
                 (
                     r["app"],
                     *(f"{r['engine_s'][tier]:.3f}"
-                      for tier in ("rounds", "fused", "compiled")),
+                      for tier in TIER_PREFERENCE),
                     r["selected_tier"],
                 )
                 for r in calibrated

@@ -6,10 +6,9 @@ times every execution strategy the engine offers:
 * **cold** — fresh shared context, compiled hub path (the engine
   default);
 * **warm** — the same context again, everything served from cache;
-* **no-compile** — fresh context falling back to the fused tier (the
-  ``--no-compile`` escape hatch), asserted result-identical;
-* **no-fuse** — fresh context with both fast tiers disabled
-  (round-by-round hub interpretation), asserted result-identical;
+* **no-compile** — fresh context running every condition on the round
+  interpreter (the ``--no-compile`` escape hatch), asserted
+  result-identical;
 * **hub axis** — the hub-execution tiers alone, per (condition, trace)
   pair: rounds vs fused vs compiled, asserting bit-identical wake
   events and ``fused_speedup`` / ``compiled_speedup`` floors;
@@ -126,10 +125,9 @@ def test_matrix_engine_fast_paths(benchmark, robot_traces):
         lambda: run_matrix(configs, apps, traces, context=context)
     )
     nocompile, nocompile_s = _timed(
-        lambda: run_matrix(configs, apps, traces, compiled=False)
-    )
-    nofuse, nofuse_s = _timed(
-        lambda: run_matrix(configs, apps, traces, fuse=False, compiled=False)
+        lambda: run_matrix(
+            configs, apps, traces, context=RunContext(compiled=False)
+        )
     )
     # The persistent pool: the first dispatch forks workers and ships
     # the traces; the second is the steady state every later sweep sees.
@@ -150,11 +148,10 @@ def test_matrix_engine_fast_paths(benchmark, robot_traces):
 
     # Every strategy ran the same experiment and got the same answer.
     assert (
-        _rows(cold) == _rows(warm) == _rows(nocompile) == _rows(nofuse)
+        _rows(cold) == _rows(warm) == _rows(nocompile)
         == _rows(parallel_first) == _rows(parallel)
     )
     assert cold.skipped == [] and nocompile.skipped == []
-    assert nofuse.skipped == []
     assert parallel_first.execution.mode == "pool"
     assert not parallel_first.execution.pool_reused
     assert parallel.execution.pool_reused
@@ -176,7 +173,6 @@ def test_matrix_engine_fast_paths(benchmark, robot_traces):
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "nocompile_s": round(nocompile_s, 4),
-        "nofuse_s": round(nofuse_s, 4),
         "parallel_cold_s": round(parallel_cold_s, 4),
         "parallel_s": round(parallel_s, 4),
         "hub_round_s": round(round_total, 4),
@@ -207,8 +203,6 @@ def test_matrix_engine_fast_paths(benchmark, robot_traces):
                 ("cold (compiled)", f"{cold_s:.2f}", "1.0x"),
                 ("cold (--no-compile)", f"{nocompile_s:.2f}",
                  f"{cold_s / nocompile_s:.1f}x" if nocompile_s > 0 else "inf"),
-                ("cold (--no-compile --no-fuse)", f"{nofuse_s:.2f}",
-                 f"{cold_s / nofuse_s:.1f}x" if nofuse_s > 0 else "inf"),
                 ("warm", f"{warm_s:.2f}", f"{warm_speedup:.1f}x"),
                 ("pool first dispatch", f"{parallel_cold_s:.2f}",
                  f"{cold_s / parallel_cold_s:.1f}x" if parallel_cold_s > 0 else "inf"),

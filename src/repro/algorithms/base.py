@@ -65,13 +65,14 @@ class StreamAlgorithm:
         output_kind: Stream kind produced.
         chunk_invariant: True when the concatenated output stream is
             *bitwise* independent of how the input stream is split into
-            chunks.  The fused execution path
-            (:meth:`repro.hub.runtime.HubRuntime.run_fused`) relies on
-            this to replace many small feed rounds with a few large
-            ones while producing identical wake events; an algorithm
-            whose numerical result can drift with chunk size — even at
-            ulp level — must leave this False.  Defaults to False so
-            new algorithms opt in explicitly.
+            chunks.  Compiled plans (:mod:`repro.hub.compile`) rely on
+            this to replace every feed round with one whole-trace pass,
+            and :class:`repro.hub.incremental.ChunkedReplayState` to
+            evaluate arriving chunks as they come, both producing
+            identical wake events; an algorithm whose numerical result
+            can drift with chunk size — even at ulp level — must leave
+            this False.  Defaults to False so new algorithms opt in
+            explicitly.
     """
 
     opcode: str = ""

@@ -54,7 +54,7 @@ class MovingAverage(StreamAlgorithm):
         # buffer happens to start — every window mean is a pure function
         # of the window contents with a fixed operation order, which is
         # what makes this opcode bitwise chunk-invariant and eligible
-        # for the fused and compiled fast paths.
+        # for the compiled and incremental paths.
         means = window_means(self._carry.values, self.size)
         times = self._carry.times[self.size - 1:]
         # Keep the last size-1 samples as carry for the next chunk.

@@ -18,9 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence,
+)
 
 from repro.algorithms.base import available_opcodes
 from repro.api.compile import compile_pipeline
@@ -41,6 +44,9 @@ from repro.sim import (
     Sidewinder,
 )
 from repro.traces.base import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.sim.engine import RunContext
 
 
 def _apps_by_name() -> Dict[str, SensingApplication]:
@@ -230,20 +236,37 @@ def _print_execution(matrix, verbose: bool) -> None:
         )
 
 
+@contextmanager
+def _sweep_context(args: argparse.Namespace) -> Iterator["RunContext"]:
+    """The sweep commands' engine context, built from their ``--no-*``
+    switches.  The command owns the context's pool, so it is shut down
+    when the command ends: that releases a ``--jobs N`` run's workers
+    and its shared-memory trace export."""
+    from repro.sim.engine import RunContext
+
+    context = RunContext(
+        cache=not args.no_cache,
+        compiled=not args.no_compile,
+        batch=not args.no_batch,
+        shape_batch=not args.no_shape_batch,
+    )
+    try:
+        yield context
+    finally:
+        context.shutdown_pool()
+
+
 def cmd_table2(args: argparse.Namespace) -> int:
     """Regenerate the paper's Table 2 over the audio corpus."""
     from repro.eval.report import render_table2
     from repro.eval.tables import PAPER_TABLE2, build_table2
     from repro.traces.library import audio_corpus
-    table, matrix = build_table2(
-        traces=audio_corpus(duration_s=args.duration),
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
-    )
+    with _sweep_context(args) as context:
+        table, matrix = build_table2(
+            traces=audio_corpus(duration_s=args.duration),
+            jobs=args.jobs,
+            context=context,
+        )
     print(render_table2(table, paper=PAPER_TABLE2))
     _print_skipped(matrix)
     _print_execution(matrix, args.verbose)
@@ -255,15 +278,12 @@ def cmd_figure5(args: argparse.Namespace) -> int:
     from repro.eval.figures import figure5_series
     from repro.eval.report import render_figure5
     from repro.traces.library import robot_corpus
-    series, matrix = figure5_series(
-        traces=robot_corpus(duration_s=args.duration),
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
-    )
+    with _sweep_context(args) as context:
+        series, matrix = figure5_series(
+            traces=robot_corpus(duration_s=args.duration),
+            jobs=args.jobs,
+            context=context,
+        )
     print(render_figure5(series))
     _print_skipped(matrix)
     _print_execution(matrix, args.verbose)
@@ -279,11 +299,10 @@ def cmd_figure6(args: argparse.Namespace) -> int:
         t for t in robot_corpus(duration_s=args.duration)
         if t.metadata.get("group") == 1
     ]
-    series, matrix = figure6_series(
-        traces=group1, jobs=args.jobs, cache=not args.no_cache,
-        fuse=not args.no_fuse, compiled=not args.no_compile,
-        batch=not args.no_batch, shape_batch=not args.no_shape_batch,
-    )
+    with _sweep_context(args) as context:
+        series, matrix = figure6_series(
+            traces=group1, jobs=args.jobs, context=context
+        )
     print(render_figure6(series))
     _print_execution(matrix, args.verbose)
     return 0
@@ -294,15 +313,12 @@ def cmd_figure7(args: argparse.Namespace) -> int:
     from repro.eval.figures import figure7_series
     from repro.eval.report import render_figure7
     from repro.traces.library import human_corpus
-    series, matrix = figure7_series(
-        traces=human_corpus(duration_s=args.duration),
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        fuse=not args.no_fuse,
-        compiled=not args.no_compile,
-        batch=not args.no_batch,
-        shape_batch=not args.no_shape_batch,
-    )
+    with _sweep_context(args) as context:
+        series, matrix = figure7_series(
+            traces=human_corpus(duration_s=args.duration),
+            jobs=args.jobs,
+            context=context,
+        )
     print(render_figure7(series))
     _print_skipped(matrix)
     _print_execution(matrix, args.verbose)
@@ -725,13 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the sweep (default 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the engine's run caching")
-        p.add_argument("--no-fuse", action="store_true",
-                       help="disable the fused hub fast path (results "
-                            "are identical; this is an escape hatch)")
         p.add_argument("--no-compile", action="store_true",
-                       help="disable the compiled whole-trace hub path "
-                            "(results are identical; this is an escape "
-                            "hatch)")
+                       help="disable the compiled whole-trace hub path, "
+                            "running every condition on the round "
+                            "interpreter (results are identical; this "
+                            "is an escape hatch)")
         p.add_argument("--no-batch", action="store_true",
                        help="disable tensor-major batching of "
                             "same-condition cells (results are "

@@ -188,13 +188,8 @@ def run_matrix(
     apps: Sequence[SensingApplication],
     traces: Sequence[Trace],
     jobs: int = 1,
-    cache: bool = True,
     profile: PhonePowerProfile = NEXUS4,
     context: Optional[RunContext] = None,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
 ) -> Matrix:
     """Simulate every (config, app, trace) combination.
 
@@ -207,39 +202,19 @@ def run_matrix(
             the persistent process pool (the engine falls back to
             serial for plans too small to amortize pool startup — see
             ``Matrix.execution.reason``).
-        cache: Enable engine memoization (results are identical either
-            way; ``False`` is the ``--no-cache`` escape hatch).
         profile: Phone power profile for every cell.
-        context: Optional externally owned context (serial runs only) —
-            pass the same one across sweeps to keep its cache warm.
-        fuse: Enable the fused hub fast path for eligible conditions
-            (results are bit-identical either way; ``False`` is the
-            ``--no-fuse`` escape hatch).
-        compiled: Enable the compiled whole-trace hub path for
-            eligible conditions (results are bit-identical either way;
-            ``False`` is the ``--no-compile`` escape hatch).
-        batch: Enable tensor-major batching of same-condition cells
-            (results are bit-identical either way; ``False`` is the
-            ``--no-batch`` escape hatch).
-        shape_batch: Enable shape-keyed batching of different
-            conditions sharing one graph shape (results are
-            bit-identical either way; ``False`` is the
-            ``--no-shape-batch`` escape hatch).
+        context: The engine's switches, caches and pool
+            (:func:`~repro.sim.engine.execute_plan_with_info`) — pass
+            the same one across sweeps to keep its cache warm.  Results
+            are bit-identical under any switches.  ``None`` runs the
+            engine defaults over the module's shared pool.
 
     (app, trace) pairs whose sensors are absent from the trace are not
     silently dropped: they are recorded on :attr:`Matrix.skipped`.
     """
     plan = plan_matrix(configs, apps, traces)
     results, info = execute_plan_with_info(
-        plan,
-        jobs=jobs,
-        cache=cache,
-        profile=profile,
-        context=context,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
+        plan, jobs=jobs, profile=profile, context=context
     )
     matrix = Matrix(skipped=list(plan.skipped), execution=info)
     for result in results:

@@ -12,6 +12,7 @@ from repro.apps import MusicJournalApp, PhraseDetectionApp, SirenDetectorApp
 from repro.eval.experiments import Matrix, run_matrix
 from repro.power.phone import NEXUS4, PhonePowerProfile
 from repro.sim.configs import Oracle, PredefinedActivity, Sidewinder
+from repro.sim.engine import RunContext
 from repro.traces.base import Trace
 from repro.traces.library import audio_corpus
 
@@ -37,11 +38,7 @@ def build_table2(
     traces: Sequence[Trace] | None = None,
     sound_threshold: float | None = None,
     jobs: int = 1,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
+    context: RunContext | None = None,
 ) -> Tuple[Dict[str, Dict[str, float]], Matrix]:
     """Table 2: average power (mW) per audio app and wake-up mechanism.
 
@@ -50,12 +47,8 @@ def build_table2(
             corpus.
         sound_threshold: Optional calibrated PA sound threshold.
         jobs: Worker processes for the sweep (1 = serial).
-        cache: Enable engine memoization.
-        fuse: Enable the fused hub fast path.
-        compiled: Enable the compiled whole-trace hub path.
-        batch: Enable tensor-major batching of same-condition cells.
-        shape_batch: Enable shape-keyed batching across conditions that
-            share one graph shape.
+        context: The engine context the sweep runs through
+            (:func:`repro.eval.experiments.run_matrix`).
 
     Returns:
         ``(table, matrix)`` where ``table[config][app]`` is the mean
@@ -69,10 +62,7 @@ def build_table2(
     )
     configs = [Oracle(), pa, Sidewinder()]
     apps = [SirenDetectorApp(), MusicJournalApp(), PhraseDetectionApp()]
-    matrix = run_matrix(
-        configs, apps, traces, jobs=jobs, cache=cache, fuse=fuse,
-        compiled=compiled, batch=batch, shape_batch=shape_batch,
-    )
+    matrix = run_matrix(configs, apps, traces, jobs=jobs, context=context)
     table: Dict[str, Dict[str, float]] = {}
     for config in configs:
         table[config.name] = {

@@ -3,19 +3,19 @@
 The interpreter (:class:`repro.hub.runtime.HubRuntime`) executes a
 wake-up condition the way the paper's hub does — round by round, node by
 node, with per-round chunk allocation, state bookkeeping and Python
-dispatch.  The fused path amortizes that overhead over 64-round blocks
-but still pays it per block.  This module removes it entirely: a
-validated, fusion-eligible :class:`~repro.il.graph.DataflowGraph` is
-lowered once into a :class:`CompiledPlan` — one whole-trace numpy
-transform per node (each algorithm's :meth:`~repro.algorithms.base.
-StreamAlgorithm.lower` rule), topologically scheduled — and executing
-the plan is a single pass over the trace with no rounds at all.
+dispatch.  This module removes that overhead entirely: a validated
+graph whose nodes are all chunk-invariant over single-rate channels
+(:func:`repro.hub.runtime.fusion_eligibility`) is lowered once into a
+:class:`CompiledPlan` — one whole-trace numpy transform per node (each
+algorithm's :meth:`~repro.algorithms.base.StreamAlgorithm.lower`
+rule), topologically scheduled — and executing the plan is a single
+pass over the trace with no rounds at all.
 
 The interpreter remains the semantics oracle.  A lowering rule must be
 bit-identical to feeding a fresh algorithm instance the whole trace as
-one chunk, and chunk-invariance (the same precondition the fused path
-checks) extends that identity to *any* chunking — so a compiled plan's
-wake events are exactly the interpreter's, at every chunk size.
+one chunk, and chunk-invariance extends that identity to *any*
+chunking — so a compiled plan's wake events are exactly the
+interpreter's, at every chunk size.
 
 Eligibility is explainable: :func:`compile_eligibility` returns a
 human-readable reason string (or ``None``) just like
@@ -214,8 +214,10 @@ class CompiledPlan:
 
         Args:
             channel_data: Per channel name, a ``(times, values,
-                rate_hz)`` triple — the same form
-                :meth:`repro.hub.runtime.HubRuntime.run_fused` takes.
+                rate_hz)`` triple of sample times, sample values and
+                sampling rate — the form
+                :meth:`repro.traces.base.Trace.channel_arrays` returns
+                and :func:`repro.hub.runtime.split_into_rounds` takes.
 
         Returns:
             The wake events, bit-identical to interpreting the source
@@ -391,34 +393,12 @@ class BatchedPlan:
         self,
         rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]],
     ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
-        """:meth:`execute_batch` plus padding/sub-batch accounting."""
-        if len(rows) == 1:
-            return (
-                [self.plan.execute(rows[0])],
-                BatchDispatchInfo(sub_batches=0, valid_cells=0, padded_cells=0),
-            )
-        results: List[Optional[List[WakeEvent]]] = [None] * len(rows)
-        sub_batches = valid_cells = padded_cells = 0
-        for group in split_for_padding(self._row_lengths(rows)):
-            if len(group) == 1:
-                results[group[0]] = self.plan.execute(rows[group[0]])
-                continue
-            env = self._stack([rows[idx] for idx in group])
-            valid, padded = _cell_counts(env)
-            out = self._run_steps(env)
-            for idx, events in zip(group, self._unstack(out)):
-                results[idx] = events
-            sub_batches += 1
-            valid_cells += valid
-            padded_cells += padded
-        return (
-            results,
-            BatchDispatchInfo(
-                sub_batches=sub_batches,
-                valid_cells=valid_cells,
-                padded_cells=padded_cells,
-            ),
-        )
+        """:meth:`execute_batch` plus padding/sub-batch accounting.
+
+        A homogeneous batch is the shape batch whose rows all carry this
+        plan (every step then runs its plain ``lower_batched`` rule).
+        """
+        return self._execute_rows([(self.plan, row) for row in rows])
 
     def execute_shape_batch(
         self,
@@ -448,12 +428,19 @@ class BatchedPlan:
         ],
     ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
         """:meth:`execute_shape_batch` plus padding/sub-batch accounting."""
-        if len(rows) == 1:
-            plan, channel_data = rows[0]
-            return (
-                [plan.execute(channel_data)],
-                BatchDispatchInfo(sub_batches=0, valid_cells=0, padded_cells=0),
-            )
+        return self._execute_rows(rows)
+
+    # -- internals ----------------------------------------------------
+
+    def _execute_rows(
+        self,
+        rows: List[
+            Tuple[CompiledPlan, Dict[str, Tuple[np.ndarray, np.ndarray, float]]]
+        ],
+    ) -> Tuple[List[List[WakeEvent]], BatchDispatchInfo]:
+        """Stacked ``(plan, channel_data)`` rows, split on the padding
+        guard; a row left alone (a one-row batch included) runs its own
+        plan."""
         results: List[Optional[List[WakeEvent]]] = [None] * len(rows)
         sub_batches = valid_cells = padded_cells = 0
         lengths = self._row_lengths([channel_data for _, channel_data in rows])
@@ -464,7 +451,7 @@ class BatchedPlan:
                 continue
             env = self._stack([rows[idx][1] for idx in group])
             valid, padded = _cell_counts(env)
-            out = self._run_steps(env, row_plans=[rows[idx][0] for idx in group])
+            out = self._run_steps(env, [rows[idx][0] for idx in group])
             for idx, events in zip(group, self._unstack(out)):
                 results[idx] = events
             sub_batches += 1
@@ -478,8 +465,6 @@ class BatchedPlan:
                 padded_cells=padded_cells,
             ),
         )
-
-    # -- internals ----------------------------------------------------
 
     def _row_lengths(
         self, rows: List[Dict[str, Tuple[np.ndarray, np.ndarray, float]]]
@@ -526,12 +511,12 @@ class BatchedPlan:
     def _run_steps(
         self,
         env: Dict[Union[str, int], BatchedChunk],
-        row_plans: Optional[List[CompiledPlan]] = None,
+        row_plans: List[CompiledPlan],
     ) -> BatchedChunk:
         """Run every node once over the stacked environment.
 
-        With ``row_plans`` (the shape-batched case), each step resolves
-        per row: parameters equal across the batch run the plain
+        Each step resolves per row (:func:`_lower_step_rows`):
+        parameters equal across the batch run the plain
         ``lower_batched`` rule; parameters that differ but are liftable
         run ``lower_batched_rows`` with ``(B,)`` tensors; anything else
         falls back to a per-row ``lower`` loop (always correct —
@@ -544,13 +529,8 @@ class BatchedPlan:
             ]
             if step.align:
                 inputs = _aligned_prefix_batched(inputs)
-            if row_plans is None:
-                env[step.node_id] = step.algorithm.lower_batched(inputs)
-            else:
-                algorithms = [
-                    plan.steps[position].algorithm for plan in row_plans
-                ]
-                env[step.node_id] = _lower_step_rows(algorithms, inputs)
+            algorithms = [plan.steps[position].algorithm for plan in row_plans]
+            env[step.node_id] = _lower_step_rows(algorithms, inputs)
         return env[self.plan.output_id]
 
     def _unstack(self, out: BatchedChunk) -> List[List[WakeEvent]]:

@@ -1,14 +1,14 @@
 """Tier selection for hub execution: a calibrated table and a run ledger.
 
-The engine can run a wake-up condition three ways — ``compiled`` (one
-whole-trace array program), ``fused`` (64-round coalesced
-interpretation) and ``rounds`` (the paper's round-by-round interpreter)
-— all bit-identical, so the choice only decides how fast the same
-events arrive.  Sidewinder places a condition by static analysis, so a
-developer sees the same behaviour on every run; this model keeps that
-property.  :meth:`CostModel.choose` is a pure function of its inputs:
-a calibrated ``table`` entry for the key wins when its tier is allowed,
-otherwise the first allowed tier in :data:`TIER_PREFERENCE`.
+The engine can run a wake-up condition two ways — ``compiled`` (one
+whole-trace array program) and ``rounds`` (the paper's round-by-round
+interpreter, the semantics oracle) — both bit-identical, so the choice
+only decides how fast the same events arrive.  Sidewinder places a
+condition by static analysis, so a developer sees the same behaviour
+on every run; this model keeps that property.  :meth:`CostModel.choose`
+is a pure function of its inputs: a calibrated ``table`` entry for the
+key wins when its tier is allowed, otherwise the first allowed tier in
+:data:`TIER_PREFERENCE`.
 
 The static order is right for the accelerometer suites, where the
 compiled tier removes the per-round interpreter overhead.  The
@@ -30,7 +30,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 #: Execution tiers in static preference order: with no table entry, the
 #: first allowed one runs.
-TIER_PREFERENCE = ("compiled", "fused", "rounds")
+TIER_PREFERENCE = ("compiled", "rounds")
 
 #: Calibrated tiers for the registry's audio conditions, keyed by IL
 #: fingerprint (:func:`repro.sim.engine.program_fingerprint`) and by
@@ -102,8 +102,9 @@ class CostModel:
     def choose(self, key: str, allowed: Sequence[str]) -> str:
         """The tier ``key``'s work runs on.
 
-        ``allowed`` lists the tiers the context's flags permit for the
-        graph (no ``compiled`` entry when it is not compile-eligible).
+        ``allowed`` lists the tiers the context's switches permit for
+        the graph (no ``compiled`` entry when it is not compile-eligible
+        or ``compiled`` is off).
         Returns the table entry when it is allowed, else the first
         allowed tier in :data:`TIER_PREFERENCE`.  Reads neither the
         ledger nor any clock.

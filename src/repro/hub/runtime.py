@@ -172,6 +172,15 @@ class HubRuntime:
         events are *bit-identical* to the round-by-round result for any
         ``chunk_seconds``.
 
+        The engine does not run this method: every condition it
+        accepts also compiles, and the compiled tier ranks first.  It
+        stays because the repository benchmark hooks it
+        (``perfbench/spans.py`` times ``HubRuntime.run_fused`` and its
+        self-tests read the attribute), and because the hub-tier
+        benchmarks time it as the reference the compiled tier must
+        beat (``MIN_FUSED_SPEEDUP``, ``MIN_COMPILED_SPEEDUP``).  It can
+        go once a benchmark change drops that hook.
+
         Args:
             channel_data: Per channel name, a ``(times, values,
                 rate_hz)`` triple, as for :func:`split_into_rounds`.
@@ -237,10 +246,14 @@ class HubRuntime:
 
 
 def fusion_eligibility(graph: DataflowGraph) -> Optional[str]:
-    """Why a graph cannot run fused — or ``None`` when it can.
+    """Why a graph's output may depend on its chunking — or ``None``.
 
-    A graph is fusion-eligible when re-chunking its input provably
-    cannot change its output:
+    This is the chunk-invariance predicate behind every path that
+    re-chunks a condition's input: compiled plans
+    (:func:`repro.hub.compile.compile_eligibility`), the incremental
+    stream executors and :meth:`HubRuntime.run_fused`.  A graph is
+    fusion-eligible when re-chunking its input provably cannot change
+    its output:
 
     * every node's algorithm declares ``chunk_invariant = True``;
     * all raw channels it reads share one sampling rate (multi-rate

@@ -106,9 +106,10 @@ class Scheduler:
             are pinned for the scheduler's lifetime so engine and pool
             caches stay valid.
         context: Shared :class:`~repro.sim.engine.RunContext` for
-            serial execution and raw-IL runs.
+            serial execution and raw-IL runs; pooled application
+            batches use its pool, whose workers take its switches.
         jobs: Worker processes for application batches; ``N > 1``
-            shares the engine's persistent pool.
+            shares the context's persistent pool.
         profile: Phone power profile for every run.
         memo_entries: Bound on the cross-round coalescing memo.
     """
@@ -373,9 +374,6 @@ class Scheduler:
                 jobs=self._jobs,
                 profile=self._profile,
                 context=self._context,
-                cache=self._context.cache,
-                fuse=self._context.fuse,
-                compiled=self._context.compiled,
             )
             engine_runs += len(ran)
             for key, result in zip(ran, results):

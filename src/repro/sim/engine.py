@@ -61,12 +61,7 @@ from repro.hub.compile import (
 )
 from repro.hub.costmodel import CostModel
 from repro.hub.merge import merge_programs, merged_graph
-from repro.hub.runtime import (
-    HubRuntime,
-    WakeEvent,
-    fusion_eligibility,
-    split_into_rounds,
-)
+from repro.hub.runtime import HubRuntime, WakeEvent, split_into_rounds
 from repro.il.ast import ILProgram
 from repro.il.graph import DataflowGraph
 from repro.il.text import format_program
@@ -205,27 +200,27 @@ class _Row(NamedTuple):
 class RunContext:
     """Memoized shared state for a batch of simulation runs.
 
+    The four switches (``cache``, ``compiled``, ``batch``,
+    ``shape_batch``) are the engine's only settings: the plan executors
+    run serial plans through the context and build pool workers from
+    its :attr:`switches`.
+
     Args:
         cache: When False every method computes from scratch — the
             ``--no-cache`` escape hatch; results are identical either
             way because everything cached is a pure function of its
             key.
-        fuse: When True (default) hub interpretation uses the fused
-            fast path for fusion-eligible graphs
-            (:func:`repro.hub.runtime.fusion_eligibility`), falling
-            back to round-by-round otherwise.  The ``--no-fuse``
-            escape hatch sets this False; results are bit-identical
-            either way.
         compiled: When True (default) the context prefers the compiled
             whole-trace array program
             (:mod:`repro.hub.compile`) over interpretation for
-            compile-eligible graphs.  Tier order is compiled > fused >
-            round-by-round; every tier produces bit-identical wake
-            events, the interpreter being the semantics oracle.  The
-            ``--no-compile`` escape hatch sets this False.  Fault
-            injection never sees compiled plans: faulty runs replay
-            the condition through the round-level simulator path, not
-            through this context's fault-free interpretation.
+            compile-eligible graphs.  Tier order is compiled >
+            round-by-round; both tiers produce bit-identical wake
+            events, the round interpreter being the semantics oracle.
+            The ``--no-compile`` escape hatch sets this False, so every
+            condition runs on the round interpreter.  Fault injection
+            never sees compiled plans: faulty runs replay the condition
+            through the round-level simulator path, not through this
+            context's fault-free interpretation.
         batch: When True (default) :meth:`wake_events_batch` may stack
             same-condition work from many traces into one tensor-major
             execution (:class:`repro.hub.compile.BatchedPlan`), and
@@ -289,7 +284,6 @@ class RunContext:
     def __init__(
         self,
         cache: bool = True,
-        fuse: bool = True,
         compiled: bool = True,
         batch: bool = True,
         shape_batch: bool = True,
@@ -297,7 +291,6 @@ class RunContext:
         pool: Optional["EnginePool"] = None,
     ):
         self.cache = cache
-        self.fuse = fuse
         self.compiled = compiled
         self.batch = batch
         self.shape_batch = shape_batch
@@ -321,6 +314,19 @@ class RunContext:
         self._detections: Dict[tuple, Tuple["Detection", ...]] = {}
         self._events: Dict[tuple, Tuple["GroundTruthEvent", ...]] = {}
         self._apps: Dict[int, "SensingApplication"] = {}
+
+    @property
+    def switches(self) -> Tuple[bool, bool, bool, bool]:
+        """``(cache, compiled, batch, shape_batch)``, in constructor order.
+
+        Pool workers are built from it (``RunContext(*switches)``), and
+        it keys the pool: a warm pool serves only contexts with equal
+        switches.
+        """
+        return (
+            bool(self.cache), bool(self.compiled), bool(self.batch),
+            bool(self.shape_batch),
+        )
 
     # -- compiled conditions -------------------------------------------
 
@@ -496,17 +502,15 @@ class RunContext:
             )
         return channels
 
-    def _allowed_tiers(
-        self, graph: DataflowGraph, plan: Optional[CompiledPlan]
-    ) -> List[str]:
-        """Execution tiers this context's flags permit for ``graph``."""
-        allowed: List[str] = []
-        if plan is not None:
-            allowed.append("compiled")
-        if self.fuse and fusion_eligibility(graph) is None:
-            allowed.append("fused")
-        allowed.append("rounds")
-        return allowed
+    def _choose(self, key: str, plan: Optional[CompiledPlan]) -> str:
+        """The cost model's tier for ``key``'s work: ``compiled`` is
+        allowed only when there is a ``plan``, ``rounds`` always.
+
+        Both tiers are bit-identical, so the choice only picks the way
+        to the same events.
+        """
+        allowed = ("compiled", "rounds") if plan is not None else ("rounds",)
+        return self.cost_model.choose(key, allowed)
 
     def _interpret(
         self,
@@ -525,9 +529,7 @@ class RunContext:
         plan = self.compiled_plan(graph) if self.compiled else None
         fp = self.fingerprint(graph.program)
         if tier is None:
-            # Every tier is bit-identical, so the cost model only picks
-            # the way to the same events.
-            tier = self.cost_model.choose(fp, self._allowed_tiers(graph, plan))
+            tier = self._choose(fp, plan)
         items = sum(len(triple[0]) for triple in channels.values())
         start = time.perf_counter()
         if tier == "compiled":
@@ -538,11 +540,9 @@ class RunContext:
             # The graph may be a cached instance whose algorithm objects
             # carry state from a previous run; start cold.
             graph.reset()
-            runtime = HubRuntime(graph)
-            if tier == "fused":
-                events = runtime.run_fused(channels, chunk_seconds)
-            else:
-                events = runtime.run(split_into_rounds(channels, chunk_seconds))
+            events = HubRuntime(graph).run(
+                split_into_rounds(channels, chunk_seconds)
+            )
         elapsed = time.perf_counter() - start
         self.cost_model.observe(fp, tier, elapsed, items)
         if group_key is not None:
@@ -559,14 +559,8 @@ class RunContext:
         Bit-identical to calling :meth:`wake_events` per pair, in input
         order — batching only changes how the uncached work is computed.
         Cached pairs are served as usual; the rest group by condition
-        fingerprint, and each group asks the cost model for its tier
-        once.  A group of two or more batch-eligible rows on
-        ``compiled`` goes tensor-major: one
-        :meth:`repro.hub.compile.BatchedPlan.execute_batch` dispatch
-        per rate signature.  Rows on ``fused``, lone ``compiled`` rows
-        and ineligible graphs run per trace at their group's tier.
-        Results are cached under the same keys either way, so later
-        :meth:`wake_events` calls hit.  A context with
+        fingerprint.  Results are cached under the same keys either way,
+        so later :meth:`wake_events` calls hit.  A context with
         ``batch``/``cache``/``compiled`` off runs every pair through
         :meth:`wake_events`.
 
@@ -574,9 +568,13 @@ class RunContext:
         fingerprints with no table entry of their own that share a
         graph *shape* (:func:`repro.hub.compile.shape_signature` — same
         opcodes and wiring, different parameter values) merge into one
-        heterogeneous group keyed by the shape signature
-        (:meth:`_run_shape_group`).  A pinned fingerprint runs its
-        pinned tier.
+        heterogeneous group keyed by the shape signature.  A pinned
+        fingerprint runs its pinned tier.
+
+        Each group — a fingerprint's or a shape's — asks the cost model
+        for its tier once and runs through :meth:`_run_group`: on
+        ``compiled``, rows that share a structural key and rate
+        signature stack into one tensor-major dispatch.
 
         Rows on ``rounds`` — per-fingerprint and shape-group rows alike
         — are pooled last and grouped by (trace, set of channels read).
@@ -639,37 +637,11 @@ class RunContext:
                 ]
         rounds_rows: List[_Row] = []
         for fp, members in groups.items():
-            rows = list(members.values())
-            graph = rows[0].graph
-            tier = self.cost_model.choose(
-                fp, self._allowed_tiers(graph, self.compiled_plan(graph))
+            self._run_group(
+                fp, list(members.values()), chunk_seconds, results, rounds_rows
             )
-            if tier == "rounds":
-                rounds_rows.extend(rows)
-                continue
-            bplan = (
-                self.batched_plan(graph)
-                if tier == "compiled" and len(rows) >= 2
-                else None
-            )
-            if bplan is None:
-                self._run_rows(rows, tier, chunk_seconds, results)
-                continue
-            # Rows must agree per channel on sampling rate to stack;
-            # split by the rate signature (almost always one group).
-            by_rate: Dict[tuple, List[Tuple[_Row, Dict[str, tuple]]]] = {}
-            for row in rows:
-                channels = self._trace_channels(bplan.channels, row.trace)
-                sig = tuple(float(channels[name][2]) for name in bplan.channels)
-                by_rate.setdefault(sig, []).append((row, channels))
-            for sub in by_rate.values():
-                self._run_homogeneous_batch(
-                    fp, bplan, sub, chunk_seconds, results
-                )
         for sig, rows in shape_groups.items():
-            self._run_shape_group(
-                sig, rows, chunk_seconds, results, rounds_rows
-            )
+            self._run_group(sig, rows, chunk_seconds, results, rounds_rows)
         self._run_rounds_rows(rounds_rows, chunk_seconds, results)
         return results  # type: ignore[return-value]
 
@@ -708,72 +680,37 @@ class RunContext:
                 row.fp, row.trace, chunk_seconds, events, row.indices, results
             )
 
-    def _run_homogeneous_batch(
+    def _run_group(
         self,
-        fp: str,
-        bplan: BatchedPlan,
-        sub: List[Tuple[_Row, Dict[str, tuple]]],
-        chunk_seconds: float,
-        results: List[Optional[Tuple[WakeEvent, ...]]],
-    ) -> None:
-        """Dispatch one same-fingerprint, same-rate batch (or singleton)."""
-        if len(sub) == 1:
-            self._run_rows([sub[0][0]], "compiled", chunk_seconds, results)
-            return
-        total_items = sum(
-            len(triple[0])
-            for _, channels in sub
-            for triple in channels.values()
-        )
-        start = time.perf_counter()
-        batch_events, info = bplan.execute_batch_with_info(
-            [channels for _, channels in sub]
-        )
-        self.cost_model.observe(
-            fp, "compiled", time.perf_counter() - start, total_items
-        )
-        self.stats.batch_rounds += 1
-        self.stats.batched_cells += len(sub)
-        self.stats.batch_padded_cells += info.padded_cells
-        self.stats.batch_valid_cells += info.valid_cells
-        for (row, _), row_events in zip(sub, batch_events):
-            self._store(
-                fp, row.trace, chunk_seconds, tuple(row_events), row.indices,
-                results,
-            )
-
-    def _run_shape_group(
-        self,
-        sig: str,
+        key: str,
         rows: List[_Row],
         chunk_seconds: float,
         results: List[Optional[Tuple[WakeEvent, ...]]],
         rounds_rows: List[_Row],
     ) -> None:
-        """Run one heterogeneous (shared-shape) group of uncached work.
+        """Run one group of uncached work: a fingerprint's or a shape's.
 
-        The group asks the cost model for the shape signature's tier
-        once.  On ``compiled``, rows sub-group by structural key and
-        rate signature, and each sub-group of two or more rows is one
-        parameterized shape dispatch
-        (:meth:`repro.hub.compile.BatchedPlan.execute_shape_batch`,
-        whose padding guard may still split it).  On any other tier
-        each row runs at the group's tier (``rounds`` rows are pooled
-        in ``rounds_rows`` for :meth:`_run_rounds_rows`), filed in the
-        ledger under its own fingerprint and under the signature.
+        The group asks the cost model for ``key``'s tier once.  Rows on
+        ``rounds`` are pooled in ``rounds_rows`` for
+        :meth:`_run_rounds_rows`.  On ``compiled``, batch-eligible rows
+        sub-group by structural key and rate signature (almost always
+        one sub-group), and each sub-group of two or more rows is one
+        stacked dispatch, filed under ``key``: a fingerprint group's
+        through :meth:`repro.hub.compile.BatchedPlan.execute_batch`, a
+        shape group's — whose rows carry their own parameters —
+        through :meth:`repro.hub.compile.BatchedPlan.execute_shape_batch`.
+        Either may still split on the padding guard.  Every other row
+        runs its own plan, filed under its fingerprint only.
         """
-        rep_graph = rows[0].graph
-        allowed = self._allowed_tiers(rep_graph, self.compiled_plan(rep_graph))
-        tier = self.cost_model.choose(sig, allowed)
+        tier = self._choose(key, self.compiled_plan(rows[0].graph))
         if tier == "rounds":
             rounds_rows.extend(rows)
             return
-        if tier != "compiled":
-            self._run_rows(rows, tier, chunk_seconds, results)
+        # A shape group's rows are all batch-eligible; a fingerprint
+        # group's rows share one graph, so its first row decides.
+        if len(rows) < 2 or self.batched_plan(rows[0].graph) is None:
+            self._run_rows(rows, "compiled", chunk_seconds, results)
             return
-        # Rows must agree on non-liftable parameter values (structural
-        # key) and per-channel sampling rates to share a stacked
-        # dispatch; split accordingly (almost always one sub-group).
         subgroups: Dict[tuple, List[Tuple[_Row, Dict[str, tuple]]]] = {}
         for row in rows:
             bplan = self.batched_plan(row.graph)
@@ -781,36 +718,42 @@ class RunContext:
             rate_sig = tuple(
                 float(channels[name][2]) for name in bplan.channels
             )
-            key = (self.struct_key(row.graph), rate_sig)
-            subgroups.setdefault(key, []).append((row, channels))
+            subgroups.setdefault(
+                (self.struct_key(row.graph), rate_sig), []
+            ).append((row, channels))
         for sub in subgroups.values():
             if len(sub) == 1:
-                row = sub[0][0]
-                # A lone row runs its own plan, filed under its
-                # fingerprint only.
                 self._run_rows(
-                    [row._replace(group_key=None)], "compiled",
+                    [sub[0][0]._replace(group_key=None)], "compiled",
                     chunk_seconds, results,
                 )
                 continue
+            shape = sub[0][0].group_key is not None
+            bplan = self.batched_plan(sub[0][0].graph)
             total_items = sum(
                 len(triple[0])
                 for _, channels in sub
                 for triple in channels.values()
             )
-            bplan = self.batched_plan(sub[0][0].graph)
             start = time.perf_counter()
-            batch_events, info = bplan.execute_shape_batch_with_info(
-                [
-                    (self.compiled_plan(row.graph), channels)
-                    for row, channels in sub
-                ]
-            )
+            if shape:
+                batch_events, info = bplan.execute_shape_batch_with_info(
+                    [
+                        (self.compiled_plan(row.graph), channels)
+                        for row, channels in sub
+                    ]
+                )
+                self.stats.shape_rounds += 1
+                self.stats.shape_cells += len(sub)
+            else:
+                batch_events, info = bplan.execute_batch_with_info(
+                    [channels for _, channels in sub]
+                )
+                self.stats.batch_rounds += 1
+                self.stats.batched_cells += len(sub)
             self.cost_model.observe(
-                sig, "compiled", time.perf_counter() - start, total_items
+                key, "compiled", time.perf_counter() - start, total_items
             )
-            self.stats.shape_rounds += 1
-            self.stats.shape_cells += len(sub)
             self.stats.batch_padded_cells += info.padded_cells
             self.stats.batch_valid_cells += info.valid_cells
             for (row, _), row_events in zip(sub, batch_events):
@@ -1145,33 +1088,23 @@ _WORKER_TRACES: Dict[str, Trace] = {}
 
 
 def _pool_worker_init(
-    payload: tuple,
-    cache: bool,
-    fuse: bool,
-    compiled: bool,
-    batch: bool,
-    shape_batch: bool,
+    payload: tuple, switches: Tuple[bool, bool, bool, bool]
 ) -> None:
     """Pool initializer: one warm context + trace registry per worker.
 
-    Runs once per worker process.  Each trace crosses into each worker
-    exactly once, here; later batch dispatches refer to traces by name.
-    ``payload`` is a trace-shipping envelope from
-    :func:`repro.sim.shm.export_traces` — either hollow traces backed
-    by shared-memory segments (so N workers map one copy of the channel
-    arrays instead of unpickling N) or plain pickled traces when shared
-    memory is unavailable.
+    Runs once per worker process.  The worker's context is built from
+    the dispatching context's :attr:`RunContext.switches`.  Each trace
+    crosses into each worker exactly once, here; later batch dispatches
+    refer to traces by name.  ``payload`` is a trace-shipping envelope
+    from :func:`repro.sim.shm.export_traces` — either hollow traces
+    backed by shared-memory segments (so N workers map one copy of the
+    channel arrays instead of unpickling N) or plain pickled traces
+    when shared memory is unavailable.
     """
     global _WORKER_CONTEXT, _WORKER_TRACES
     from repro.sim.shm import attach_traces
 
-    _WORKER_CONTEXT = RunContext(
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
+    _WORKER_CONTEXT = RunContext(*switches)
     _WORKER_TRACES = {trace.name: trace for trace in attach_traces(payload)}
 
 
@@ -1201,12 +1134,12 @@ class EnginePool:
     ships only (config, app) cell descriptions — never traces — and
     hits the worker's caches immediately.
 
-    Pool lifetime used to be module-global, which made two contexts
-    with different ``batch=`` / ``fuse=`` settings contend for one key
-    space — every settings flip tore down the other context's warm
-    workers.  Now each :class:`RunContext` owns its own handle
-    (``context.pool``), and the module keeps one default handle for
-    context-less callers; :func:`shutdown_pool` tears down the default,
+    Workers are built from, and the live pool keyed by, the
+    dispatching context's :attr:`RunContext.switches`.  Each
+    :class:`RunContext` owns its own handle (``context.pool``), so two
+    contexts with different switches never tear down each other's warm
+    workers; the module keeps one default handle for context-less
+    callers.  :func:`shutdown_pool` tears down the default,
     :meth:`RunContext.shutdown_pool` a context's own.  Handles are
     cheap until :meth:`obtain` actually forks workers, and every live
     handle is torn down at interpreter exit.
@@ -1247,23 +1180,19 @@ class EnginePool:
     def obtain(
         self,
         workers: int,
-        cache: bool,
-        fuse: bool,
-        compiled: bool,
-        batch: bool,
-        shape_batch: bool,
+        switches: Tuple[bool, bool, bool, bool],
         traces: List[Trace],
     ) -> Tuple[ProcessPoolExecutor, int, bool]:
-        """The pool for these settings, (re)built if needed.
+        """The pool for a context's ``switches``, (re)built if needed.
 
-        Reuses the live pool when its cache/fuse/compiled/batch
-        settings match, it has at least as many workers as requested,
-        and every plan trace is already registered in the workers (same
-        name *and* same object — a different object under a known name
-        would silently run on stale data).  A warm pool with surplus
-        workers is kept rather than resized: the surplus idles, while a
-        rebuild would discard every worker's warm caches.  Returns
-        ``(pool, workers, reused)``.
+        Reuses the live pool when it was built from equal switches, it
+        has at least as many workers as requested, and every plan trace
+        is already registered in the workers (same name *and* same
+        object — a different object under a known name would silently
+        run on stale data).  A warm pool with surplus workers is kept
+        rather than resized: the surplus idles, while a rebuild would
+        discard every worker's warm caches.  Returns ``(pool, workers,
+        reused)``.
 
         Traces ship to workers through shared memory when the platform
         supports it (:func:`repro.sim.shm.export_traces`): the
@@ -1273,13 +1202,9 @@ class EnginePool:
         """
         from repro.sim.shm import export_traces
 
-        key = (
-            bool(cache), bool(fuse), bool(compiled), bool(batch),
-            bool(shape_batch),
-        )
         if (
             self._pool is not None
-            and self._key == key
+            and self._key == switches
             and self._workers >= workers
         ):
             shipped = all(
@@ -1293,9 +1218,9 @@ class EnginePool:
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_worker_init,
-            initargs=(export.payload, cache, fuse, compiled, batch, shape_batch),
+            initargs=(export.payload, switches),
         )
-        self._key = key
+        self._key = switches
         self._workers = workers
         # Strong references keep trace ids from being recycled while
         # the pool that shipped them is alive.
@@ -1307,19 +1232,11 @@ class EnginePool:
         self,
         plan: RunPlan,
         jobs: int,
-        cache: bool = True,
-        fuse: bool = True,
-        compiled: bool = True,
-        batch: bool = True,
-        shape_batch: bool = True,
+        switches: Tuple[bool, bool, bool, bool],
     ) -> bool:
-        """True when this handle's live pool could serve the plan as-is."""
-        if self._pool is None or jobs <= 1:
-            return False
-        if self._key != (
-            bool(cache), bool(fuse), bool(compiled), bool(batch),
-            bool(shape_batch),
-        ):
+        """True when this handle's live pool, built from ``switches``,
+        could serve the plan as-is."""
+        if self._pool is None or jobs <= 1 or self._key != switches:
             return False
         return all(
             self._traces.get(cell.trace.name) is cell.trace
@@ -1344,29 +1261,6 @@ def _shutdown_all_pools() -> None:
 
 
 atexit.register(_shutdown_all_pools)
-
-
-def pool_is_warm(
-    plan: RunPlan,
-    jobs: int,
-    cache: bool = True,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
-    pool: Optional[EnginePool] = None,
-) -> bool:
-    """True when the (default or given) pool could serve this plan as-is."""
-    handle = pool if pool is not None else _DEFAULT_POOL
-    return handle.is_warm(
-        plan,
-        jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
 
 
 def shutdown_pool() -> None:
@@ -1440,13 +1334,8 @@ def _run_serial(
 def execute_plan(
     plan: RunPlan,
     jobs: int = 1,
-    cache: bool = True,
     profile: PhonePowerProfile = NEXUS4,
     context: Optional[RunContext] = None,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
 ) -> List["SimulationResult"]:
     """Execute a plan and return results in plan (index) order.
 
@@ -1454,15 +1343,7 @@ def execute_plan(
     wrapper discards the :class:`ExecutionInfo`.
     """
     results, _ = execute_plan_with_info(
-        plan,
-        jobs=jobs,
-        cache=cache,
-        profile=profile,
-        context=context,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
+        plan, jobs=jobs, profile=profile, context=context
     )
     return results
 
@@ -1470,13 +1351,8 @@ def execute_plan(
 def execute_plan_with_info(
     plan: RunPlan,
     jobs: int = 1,
-    cache: bool = True,
     profile: PhonePowerProfile = NEXUS4,
     context: Optional[RunContext] = None,
-    fuse: bool = True,
-    compiled: bool = True,
-    batch: bool = True,
-    shape_batch: bool = True,
 ) -> Tuple[List["SimulationResult"], ExecutionInfo]:
     """Execute a plan; return results in plan order plus how they ran.
 
@@ -1488,50 +1364,28 @@ def execute_plan_with_info(
             startup (``MIN_POOL_CELLS``) or a warm compatible pool is
             already alive; otherwise the plan runs serially and the
             returned :class:`ExecutionInfo` says why.
-        cache: Enable :class:`RunContext` memoization (results are
-            identical either way).
         profile: Phone power profile for every cell.
-        context: Optional externally owned context for serial runs —
-            pass the same context again to reuse a warm cache across
-            sweeps.  Ignored when the pool runs the plan (worker
-            processes cannot share it).
-        fuse: Enable the fused hub fast path (results are identical
-            either way; the ``--no-fuse`` escape hatch).
-        compiled: Enable the compiled whole-trace hub path (results
-            are identical either way; the ``--no-compile`` escape
-            hatch).
-        batch: Enable tensor-major batching of same-condition cells
-            (results are bit-identical either way; the ``--no-batch``
-            escape hatch).  Serial plans prewarm the shared context's
-            hub-run cache with one batched execution per condition
-            group before the per-cell loop.
-        shape_batch: Enable shape-keyed batching of *different*
-            conditions sharing one graph shape (results are
-            bit-identical either way; the ``--no-shape-batch`` escape
-            hatch).  Rides on the batched path, so it only matters
-            when ``batch`` is on.
+        context: The engine's settings and caches.  Serial runs go
+            through it — pass the same context again to reuse a warm
+            cache across sweeps — and pool runs use its pool, whose
+            workers are built from its :attr:`RunContext.switches`
+            (worker processes cannot share the context itself).
+            ``None`` runs a fresh default context over the module's
+            default pool, so bare calls share one warm pool.
 
-    The pool persists across calls: workers are forked once, each
-    builds a warm :class:`RunContext` and receives every trace exactly
-    once via the pool initializer (through shared memory when the
-    platform supports it), and later calls with the same settings and
-    traces dispatch only (config, app) pairs.  Cells are dispatched in
-    trace-major batches so one IPC round trip covers a whole trace's
-    cells.
+    Serial plans prewarm the context's hub-run cache with one batched
+    execution per condition group before the per-cell loop (when its
+    ``batch`` switch is on).  The pool persists across calls: workers
+    are forked once, each builds a warm :class:`RunContext` and
+    receives every trace exactly once via the pool initializer (through
+    shared memory when the platform supports it), and later calls with
+    the same switches and traces dispatch only (config, app) pairs.
+    Cells are dispatched in trace-major batches so one IPC round trip
+    covers a whole trace's cells.
     """
+    ctx = context if context is not None else RunContext(pool=_DEFAULT_POOL)
     n = len(plan.cells)
     if jobs <= 1:
-        ctx = (
-            context
-            if context is not None
-            else RunContext(
-                cache=cache,
-                fuse=fuse,
-                compiled=compiled,
-                batch=batch,
-                shape_batch=shape_batch,
-            )
-        )
         indexed = _run_serial(plan, profile, ctx)
         info = ExecutionInfo(
             requested_jobs=jobs,
@@ -1544,34 +1398,10 @@ def execute_plan_with_info(
         )
         return indexed_results(indexed), info
 
-    # Pool runs go through the caller's context pool when a context is
-    # supplied (per-shard isolation in the serving tier), and through
-    # the module default handle otherwise (so bare sweep calls still
-    # share one warm pool across invocations).
-    pool_handle = context.pool if context is not None else _DEFAULT_POOL
     groups = _group_cells_by_trace(plan.cells)
     workers = max(1, min(jobs, len(groups)))
-    warm = pool_handle.is_warm(
-        plan,
-        jobs,
-        cache=cache,
-        fuse=fuse,
-        compiled=compiled,
-        batch=batch,
-        shape_batch=shape_batch,
-    )
+    warm = ctx.pool.is_warm(plan, jobs, ctx.switches)
     if n < MIN_POOL_CELLS and not warm:
-        ctx = (
-            context
-            if context is not None
-            else RunContext(
-                cache=cache,
-                fuse=fuse,
-                compiled=compiled,
-                batch=batch,
-                shape_batch=shape_batch,
-            )
-        )
         indexed = _run_serial(plan, profile, ctx)
         info = ExecutionInfo(
             requested_jobs=jobs,
@@ -1591,9 +1421,7 @@ def execute_plan_with_info(
     for cell in plan.cells:
         if not traces or traces[-1] is not cell.trace:
             traces.append(cell.trace)
-    pool, workers, reused = pool_handle.obtain(
-        workers, cache, fuse, compiled, batch, shape_batch, traces
-    )
+    pool, workers, reused = ctx.pool.obtain(workers, ctx.switches, traces)
     futures = [
         pool.submit(
             _run_batch,

@@ -82,7 +82,9 @@ def test_parallel_matches_serial(engine_matrix, configs, apps, traces):
 def test_uncached_matches_cached(engine_matrix, apps, traces):
     cached_matrix, _ = engine_matrix
     subset = paper_configurations(sleep_intervals=(10.0,))
-    uncached = run_matrix(subset, apps, traces, cache=False)
+    uncached = run_matrix(
+        subset, apps, traces, context=RunContext(cache=False)
+    )
     for fresh in uncached.results:
         cached = cached_matrix.get(
             fresh.config_name, fresh.app_name, fresh.trace_name
@@ -102,20 +104,13 @@ def test_warm_context_reruns_identically(configs, apps, traces):
 
 def test_no_compile_matches_compiled(engine_matrix, configs, apps, traces):
     # The compiled whole-trace hub path must be bit-invisible: a sweep
-    # with compilation disabled (falling back to the fused tier)
-    # produces the exact same results, timelines included.
+    # with compilation disabled (every condition on the round
+    # interpreter, the oracle) produces the exact same results,
+    # timelines included.
     compiled_matrix, _ = engine_matrix
-    uncompiled = run_matrix(configs, apps, traces, compiled=False)
+    uncompiled = run_matrix(
+        configs, apps, traces, context=RunContext(compiled=False)
+    )
     assert len(uncompiled.results) == len(compiled_matrix.results)
     for compiled, plain in zip(compiled_matrix.results, uncompiled.results):
         _assert_results_match(compiled, plain)
-
-
-def test_no_fuse_matches_fused(engine_matrix, configs, apps, traces):
-    # Likewise the fused fast path: with both fast tiers disabled the
-    # round-by-round interpreter produces the exact same results.
-    fused_matrix, _ = engine_matrix
-    unfused = run_matrix(configs, apps, traces, fuse=False, compiled=False)
-    assert len(unfused.results) == len(fused_matrix.results)
-    for fused, plain in zip(fused_matrix.results, unfused.results):
-        _assert_results_match(fused, plain)

@@ -3,8 +3,8 @@
 The cost model decides which bit-identical hub tier runs a condition.
 These tests pin its decision procedure:
 
-* with no table entry, the first allowed tier of ``compiled > fused >
-  rounds`` runs;
+* with no table entry, the first allowed tier of ``compiled > rounds``
+  runs, and ``fused`` is no longer a tier;
 * a table entry wins when its tier is allowed and is ignored
   otherwise; a table passed in is laid over the shipped one;
 * the shipped :data:`CALIBRATED_TABLE` still names the registry's
@@ -29,10 +29,11 @@ FP = "fp:test"
 
 class TestChoose:
     def test_static_order_without_a_table_entry(self):
+        assert TIER_PREFERENCE == ("compiled", "rounds")
         assert CostModel().choose(FP, ALL) == "compiled"
 
     def test_respects_allowed_subset(self):
-        assert CostModel().choose(FP, ["fused", "rounds"]) == "fused"
+        assert CostModel().choose(FP, ["compiled"]) == "compiled"
         assert CostModel().choose(FP, ["rounds"]) == "rounds"
 
     def test_no_allowed_tiers_raises(self):
@@ -47,14 +48,13 @@ class TestChoose:
 
     def test_order_of_allowed_does_not_matter(self):
         # The static preference ranks the tiers, not the caller's list.
-        assert CostModel().choose(FP, ["rounds", "fused", "compiled"]) == (
-            "compiled"
-        )
-        model = CostModel(table={FP: "fused"})
-        assert model.choose(FP, ["rounds", "fused", "compiled"]) == "fused"
+        assert CostModel().choose(FP, ["rounds", "compiled"]) == "compiled"
+        model = CostModel(table={FP: "rounds"})
+        assert model.choose(FP, ["rounds", "compiled"]) == "rounds"
 
     def test_unknown_tiers_are_ignored(self):
         assert CostModel().choose(FP, ["gpu", "rounds"]) == "rounds"
+        assert CostModel().choose(FP, ["fused", "rounds"]) == "rounds"
         assert CostModel().selection(FP, ["gpu"]) is None
         with pytest.raises(ValueError):
             CostModel().choose(FP, ["gpu"])
@@ -67,7 +67,9 @@ class TestSelection:
     def test_is_choose_when_a_tier_is_allowed(self):
         model = CostModel(table={FP: "rounds"})
         assert model.selection(FP, ALL) == "rounds"
-        assert model.selection("fp:other", ["fused", "rounds"]) == "fused"
+        assert model.selection("fp:other", ["rounds", "compiled"]) == (
+            "compiled"
+        )
 
     def test_no_allowed_tiers_is_none(self):
         assert CostModel().selection(FP, []) is None
@@ -81,8 +83,8 @@ class TestTable:
 
     def test_override_outside_allowed_is_ignored(self):
         model = CostModel(table={FP: "compiled"})
-        assert model.choose(FP, ["fused", "rounds"]) == "fused"
-        assert model.selection(FP, ["fused", "rounds"]) == "fused"
+        assert model.choose(FP, ["rounds"]) == "rounds"
+        assert model.selection(FP, ["rounds"]) == "rounds"
 
     def test_default_is_the_calibrated_table(self):
         assert dict(CostModel().table) == CALIBRATED_TABLE
@@ -91,10 +93,10 @@ class TestTable:
 
     def test_passed_table_is_laid_over_the_default(self):
         first, second = list(CALIBRATED_TABLE)[:2]
-        model = CostModel(table={first: "compiled", FP: "fused"})
+        model = CostModel(table={first: "compiled", FP: "rounds"})
         assert model.choose(first, ALL) == "compiled"
         assert model.choose(second, ALL) == "rounds"
-        assert model.choose(FP, ALL) == "fused"
+        assert model.choose(FP, ALL) == "rounds"
         assert dict(CostModel(table={}).table) == CALIBRATED_TABLE
 
     def test_calibrated_table_is_not_stale(self):

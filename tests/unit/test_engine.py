@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import HeadbuttApp, SirenDetectorApp, StepsApp
 from repro.errors import HubExecutionError
+from repro.serve.submission import Completed
 from repro.sim import AlwaysAwake, Oracle, Sidewinder
 from repro.sim.engine import (
     RunContext,
@@ -275,36 +276,36 @@ class TestMergedWindowKeying:
         assert ctx.stats.detect_hits == 1
 
 
-class TestFusedContext:
-    def test_fused_and_round_events_identical(self, robot_trace):
-        # compiled=False on both sides so this really compares the two
-        # interpreter tiers, not the compiled plan against itself.
-        graph_program = StepsApp().build_wakeup_pipeline()
-        fused_ctx = RunContext(fuse=True, compiled=False)
-        round_ctx = RunContext(fuse=False, compiled=False)
-        fused = fused_ctx.wake_events(fused_ctx.compile(graph_program), robot_trace)
-        by_rounds = round_ctx.wake_events(
-            round_ctx.compile(StepsApp().build_wakeup_pipeline()), robot_trace
-        )
-        assert fused == by_rounds
-
-
 class TestCompiledContext:
-    def test_compiled_fused_and_round_events_identical(self, robot_trace):
+    def test_compiled_and_round_events_identical(self, robot_trace):
         program = StepsApp().build_wakeup_pipeline()
         compiled_ctx = RunContext(compiled=True)
-        fused_ctx = RunContext(compiled=False, fuse=True)
-        round_ctx = RunContext(compiled=False, fuse=False)
+        round_ctx = RunContext(compiled=False)
         compiled = compiled_ctx.wake_events(
             compiled_ctx.compile(program), robot_trace
         )
-        fused = fused_ctx.wake_events(
-            fused_ctx.compile(StepsApp().build_wakeup_pipeline()), robot_trace
-        )
         by_rounds = round_ctx.wake_events(
             round_ctx.compile(StepsApp().build_wakeup_pipeline()), robot_trace
         )
-        assert compiled == fused == by_rounds
+        assert compiled
+        assert compiled == by_rounds
+
+    def test_no_compile_runs_the_round_interpreter(self, robot_trace):
+        # --no-compile means the round interpreter, the oracle, even for
+        # a chunk-invariant condition that would compile: no other tier
+        # is filed in the ledger.
+        from repro.hub.compile import compile_eligibility
+
+        ctx = RunContext(compiled=False)
+        graph = ctx.compile(StepsApp().build_wakeup_pipeline())
+        assert compile_eligibility(graph) is None
+        ctx.wake_events(graph, robot_trace)
+        ctx.wake_events_batch([(graph, robot_trace)], chunk_seconds=2.0)
+        ledger = ctx.cost_model.as_dict()
+        fingerprint = ctx.fingerprint(graph.program)
+        assert list(ledger) == [fingerprint]
+        assert list(ledger[fingerprint]) == ["rounds"]
+        assert ledger[fingerprint]["rounds"]["runs"] == 2
 
     def test_plan_cached_by_fingerprint(self, robot_trace, quiet_robot_trace):
         ctx = RunContext(compiled=True)
@@ -324,7 +325,7 @@ class TestCompiledContext:
         from repro.il.parser import parse_program
 
         # expMovingAvg is not chunk-invariant, so the condition cannot
-        # compile (or fuse) and must interpret round by round — with the
+        # compile and must interpret round by round — with the
         # ineligibility memoized, not re-derived per trace.
         program = parse_program(
             "ACC_X -> expMovingAvg(id=1, params={0.2});"
@@ -334,7 +335,7 @@ class TestCompiledContext:
         ctx = RunContext(compiled=True)
         graph = ctx.validated(program)
         events = ctx.wake_events(graph, robot_trace)
-        round_ctx = RunContext(compiled=False, fuse=False)
+        round_ctx = RunContext(compiled=False)
         expected = round_ctx.wake_events(
             round_ctx.validated(parse_program(
                 "ACC_X -> expMovingAvg(id=1, params={0.2});"
@@ -386,3 +387,61 @@ class TestExecutor:
         assert rows(first) == rows(serial)
         assert rows(second) == rows(serial)
         shutdown_pool()
+
+    def test_pool_workers_take_the_context_switches(self):
+        # A serving context that turns batching off must get unbatched
+        # pool workers: the scheduler hands the engine its context, and
+        # the pool builds (and keys) its workers from the context's
+        # switches alone.
+        from repro.serve.scheduler import HUB_CATALOGS, Scheduler
+        from repro.serve.submission import Submission, Ticket
+        from repro.sim.engine import MIN_POOL_CELLS
+        from repro.traces.robot import RobotRunConfig, generate_robot_run
+
+        traces = {
+            trace.name: trace
+            for trace in (
+                generate_robot_run(
+                    RobotRunConfig(group=g, duration_s=60.0, seed=90 + k)
+                )
+                for k, g in enumerate((1, 2, 3, 1))
+            )
+        }
+        apps = ("steps", "transitions", "headbutts")
+        submissions = [
+            Submission(f"t{k}", name, app=app, hub=hub)
+            for k, (name, app, hub) in enumerate(
+                (name, app, hub)
+                for name in traces
+                for app in apps
+                for hub in sorted(HUB_CATALOGS)
+            )
+        ]
+        assert len(submissions) >= MIN_POOL_CELLS
+        context = RunContext(batch=False, shape_batch=False)
+        scheduler = Scheduler(traces, context, jobs=2)
+        entries = [
+            (Ticket(k, sub.tenant, 0.0), sub)
+            for k, sub in enumerate(submissions)
+        ]
+        try:
+            responses, engine_runs = scheduler.run_batch(entries, now=1.0)
+            assert engine_runs == len(submissions)
+            assert all(isinstance(r, Completed) for r in responses)
+            assert context.pool.active
+            probes = [
+                context.pool._pool.submit(_worker_switches) for _ in range(4)
+            ]
+            assert {probe.result() for probe in probes} == {
+                (True, True, False, False)
+            }
+        finally:
+            context.shutdown_pool()
+
+
+def _worker_switches():
+    """Run in a pool worker: the switches its context was built with."""
+    from repro.sim import engine
+
+    worker = engine._WORKER_CONTEXT
+    return (worker.cache, worker.compiled, worker.batch, worker.shape_batch)

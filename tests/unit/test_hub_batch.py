@@ -259,14 +259,13 @@ class TestWakeEventsBatch:
         assert list(ledger[fingerprint]) == ["compiled"]
         assert ledger[fingerprint]["compiled"]["runs"] == 1
 
-    @pytest.mark.parametrize("compiled, fuse, tier", [
-        (True, True, "compiled"),
-        (False, True, "fused"),
-        (False, False, "rounds"),
+    @pytest.mark.parametrize("compiled, tier", [
+        (True, "compiled"),
+        (False, "rounds"),
     ])
-    def test_flags_run_the_first_allowed_tier(self, compiled, fuse, tier):
+    def test_flags_run_the_first_allowed_tier(self, compiled, tier):
         graph, pairs = self._pairs()
-        context = RunContext(compiled=compiled, fuse=fuse)
+        context = RunContext(compiled=compiled)
         reference = RunContext(batch=False)
         expected = [reference.wake_events(g, t) for g, t in pairs]
         assert context.wake_events_batch(pairs) == expected
