@@ -26,18 +26,19 @@ stream state is arrival-chunking invariant, so the concatenated event
 log of a subscription is **bit-identical** to replaying the finally
 assembled trace whole (at the subscription's ``chunk_seconds``) — which
 is also why recovery needs no per-subscription result records: rebuild
-the buffers and subscriptions from the journal's ``chunk``/``sub``
-records and one catch-up :meth:`advance` re-derives every event.
+each buffer in bulk from the journal's ``chunk`` records
+(:meth:`restore`), re-register its ``sub`` records, and one catch-up
+:meth:`advance` re-derives every event.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.api.manager import validate_condition
-from repro.errors import HubExecutionError, ServiceError
+from repro.errors import HubExecutionError, ServiceError, TraceError
 from repro.hub.incremental import (
     IncrementalGraphState,
     StreamState,
@@ -158,14 +159,13 @@ class StreamIngest:
         seq: int,
         samples: Mapping[str, np.ndarray],
         rate_hz: Optional[Mapping[str, float]] = None,
-        journal: bool = True,
     ) -> bool:
         """Apply one device chunk; True when it advanced the stream.
 
         The first chunk of a stream must carry ``rate_hz`` (it fixes
-        the channel set and timeline); later chunks may omit it.
-        Journal replay calls this with ``journal=False`` so recovery
-        never re-journals what it is reading.
+        the channel set and timeline); later chunks may omit it.  An
+        applied chunk is journaled with each channel's samples as raw
+        float64 bytes, the dtype the stream buffer stores.
 
         Raises:
             ServiceError: unknown stream with no ``rate_hz``.
@@ -174,6 +174,68 @@ class StreamIngest:
                 journaled; a refused first chunk does not open the
                 stream.
         """
+        if not self._extend(tenant, stream, seq, 1, samples, rate_hz):
+            return False
+        if self._journal_append is not None:
+            self._journal_append(
+                ("chunk", tenant, stream, seq, self._now(),
+                 dict(self._buffers[(tenant, stream)].rate_hz),
+                 {name: np.asarray(values, dtype=np.float64).tobytes()
+                  for name, values in samples.items()})
+            )
+        return True
+
+    def restore(self, records: Iterable[tuple]) -> Tuple[int, int]:
+        """Rebuild streams from journaled ``chunk`` records.
+
+        Each stream's records are grouped in journal order, each
+        channel's raw samples are joined and decoded once, and the run
+        is applied with one append per channel — the state pushing the
+        records one by one would leave: the same samples, ``next_seq``
+        and :attr:`chunks`.  Nothing is re-journaled.  Returns
+        ``(streams, chunks)`` rebuilt.
+
+        Raises:
+            TraceError: when a stream's sequence numbers do not run on
+                without a gap from its next sequence number, as
+                :meth:`push` would.
+        """
+        runs: Dict[Tuple[str, str], List[tuple]] = {}
+        for record in records:
+            runs.setdefault((record[1], record[2]), []).append(record)
+        applied = 0
+        for (tenant, stream), run in runs.items():
+            first = run[0][3]
+            raw: Dict[str, List[bytes]] = {}
+            for offset, (_, _, _, seq, _, _, samples) in enumerate(run):
+                if seq != first + offset:
+                    raise TraceError(
+                        f"stream {stream!r}: journaled chunk seq {seq} "
+                        f"follows seq {first + offset - 1} (chunks must "
+                        "append in order)"
+                    )
+                for name, data in samples.items():
+                    raw.setdefault(name, []).append(data)
+            applied += self._extend(
+                tenant, stream, first, len(run),
+                {name: np.frombuffer(b"".join(parts), dtype=np.float64)
+                 for name, parts in raw.items()},
+                run[0][5],
+            )
+        return len(runs), applied
+
+    def _extend(
+        self,
+        tenant: str,
+        stream: str,
+        seq: int,
+        count: int,
+        samples: Mapping[str, np.ndarray],
+        rate_hz: Optional[Mapping[str, float]],
+    ) -> int:
+        """Apply a run of chunks to one stream (see
+        :meth:`StreamBuffer.extend`), opening it on its first; returns
+        how many were applied."""
         key = (tenant, stream)
         buffer = self._buffers.get(key)
         if buffer is None:
@@ -183,20 +245,13 @@ class StreamIngest:
                     "its first chunk must carry rate_hz"
                 )
             buffer = StreamBuffer(stream, dict(rate_hz))
-        applied = buffer.push(seq, samples)
+        applied = buffer.extend(seq, count, samples)
         if key not in self._buffers:
             self._buffers[key] = buffer
             self._by_stream[key] = []
-        if not applied:
-            return False
-        self.chunks += 1
-        self._dirty = True
-        if journal and self._journal_append is not None:
-            self._journal_append(
-                ("chunk", tenant, stream, seq, self._now(),
-                 dict(buffer.rate_hz),
-                 {name: np.asarray(values) for name, values in samples.items()})
-            )
+        if applied:
+            self.chunks += applied
+            self._dirty = True
         return applied
 
     # -- tenant-facing subscriptions ------------------------------------

@@ -20,22 +20,34 @@ kind:
   logical time ``now`` over exactly these tickets; flushed (with every
   buffered accept) before the round executes, so an interrupted round
   is recoverable with its original batch and its original clock value;
-* ``("complete", submission_id, now, response)`` — a terminal
-  :class:`~repro.serve.submission.Response`, payload included;
-* ``("cref", submission_id, now, payer_id, dedup, latency)`` — a
-  completion whose result object is *shared* with an earlier
-  completion (fingerprint dedup / memo hits); the journal stores one
-  payload per unique result and references it thereafter, which is
-  what keeps journal size proportional to engine runs rather than
+* ``("complete", submission_id, now, response, memo_key)`` — a
+  terminal :class:`~repro.serve.submission.Response`, payload
+  included;
+* ``("cref", submission_id, now, payer_id, dedup, latency, memo_key)``
+  — a completion whose result object is *shared* with an earlier
+  completion (fingerprint dedup / memo hits, or two conditions that
+  both never fire and return the one empty tuple); the journal stores
+  one payload per unique result and references it thereafter, which
+  is what keeps journal size proportional to engine runs rather than
   fleet size;
 * ``("chunk", tenant, stream, seq, now, rate_hz, samples)`` — one
   device chunk applied to a stream buffer, flushed with the pump round
-  that made it durable; streams rebuild by re-pushing these in journal
-  order (idempotent by per-stream ``seq``);
+  that made it durable; ``samples`` maps each channel to its samples
+  as raw float64 bytes.  Recovery groups each stream's records in
+  journal order and rebuilds the stream with one append per channel;
 * ``("sub", subscription_id, now, subscription)`` — a streaming
   subscription was registered.  No per-subscription results are
   journaled: streamed evaluation is arrival-chunking invariant, so
   recovery re-derives wake events from the rebuilt buffers.
+
+A payer — a completion with ``dedup=False``, whose round ran the
+engine for it — carries in ``memo_key`` the key the scheduler filed its
+result under, on a ``complete`` or a ``cref`` record alike; every other
+``complete``/``cref`` record carries ``None``.  Recovery seeds the
+scheduler's coalescing memo from these keys
+(:meth:`~repro.serve.scheduler.Scheduler.seed_memo`) instead of
+re-validating each condition.  Journals written before records carried
+memo keys and raw chunk samples are not read.
 
 Record kinds version forward: a reader encountering a validly framed
 record whose kind it does not know *skips* it (counted on the scan)
@@ -304,6 +316,10 @@ class RecoveryStats:
         rounds: Scheduling rounds found durable (drivers use this to
             resume pump cadence past boundaries that already ran).
         completions: Terminal responses re-answered from the journal.
+        seeded: Coalescing-memo entries restored from journaled payer
+            keys.
+        streams: Streams rebuilt from ``chunk`` records.
+        chunks: Chunks those streams were rebuilt from.
         replayed: Those re-answered responses, bit-identical to the
             pre-crash originals, in journal order.
         reexecuted: Responses of the interrupted round the recovery
@@ -322,6 +338,9 @@ class RecoveryStats:
     accepts: int
     rounds: int
     completions: int
+    seeded: int = 0
+    streams: int = 0
+    chunks: int = 0
     replayed: Tuple[Response, ...] = ()
     reexecuted: Tuple[Response, ...] = ()
     requeued: Tuple[int, ...] = field(default_factory=tuple)
@@ -340,5 +359,7 @@ class RecoveryStats:
             f"recovered {self.records} records ({self.accepts} accepts, "
             f"{self.completions} completions): {len(self.replayed)} "
             f"re-answered, {len(self.reexecuted)} re-executed, "
-            f"{len(self.requeued)} re-enqueued{damage}"
+            f"{len(self.requeued)} re-enqueued, {self.seeded} memo "
+            f"entries seeded, {self.streams} streams rebuilt from "
+            f"{self.chunks} chunks{damage}"
         )

@@ -140,6 +140,8 @@ class Scheduler:
         self._app_fingerprints: Dict[str, str] = {}
         #: IL text -> validated graph (validation reuses the manager's
         #: push path; memoized so repeat submissions skip re-validation).
+        #: Recovery seeds the memo from journaled keys and fills none of
+        #: this: a condition validates on its first submission after.
         self._il_graphs: Dict[Tuple[str, str], DataflowGraph] = {}
         self._memo: Dict[tuple, ServeResult] = {}
 
@@ -284,26 +286,30 @@ class Scheduler:
             self._memo.pop(next(iter(self._memo)))
         self._memo[key] = result
 
-    def seed_memo(self, submission: Submission, result: ServeResult) -> bool:
-        """Pre-load the coalescing memo with a known (submission, result).
+    def seed_memo(self, key: tuple, result: ServeResult) -> bool:
+        """Pre-load the coalescing memo with a journaled payer's result.
 
-        Crash recovery calls this with journaled completions before
-        re-executing an interrupted round, so coalesced members whose
-        payer already completed durably coalesce onto the *same* result
-        object again — preserving dedup flags and bit-identity without
-        re-entering the engine.  Returns False (and seeds nothing) for
-        submissions that no longer resolve.
+        Crash recovery calls this, in journal order, with the memo key
+        :meth:`run_batch` handed back for each payer, so later
+        identical submissions coalesce onto the *same* result object
+        again — preserving dedup flags and bit-identity without
+        re-entering the engine or re-validating anything.  Returns
+        False (and seeds nothing) for a key whose trace, or
+        application, this scheduler no longer serves.
         """
-        try:
-            work = self._resolve(submission)
-        except SidewinderError:
+        # The two key layouts are the ones _resolve builds.
+        if key[0] == "app":
+            served = key[1] in self._apps and key[3] in self._traces
+        else:
+            served = key[2] in self._traces
+        if not served:
             return False
-        self._remember(work.key, result)
+        self._remember(key, result)
         return True
 
     def run_batch(
         self, entries: Sequence[Tuple[Ticket, Submission]], now: float
-    ) -> Tuple[List[Response], int]:
+    ) -> Tuple[List[Response], int, Dict[int, tuple]]:
         """Run one scheduling round.
 
         Args:
@@ -311,13 +317,16 @@ class Scheduler:
             now: Service-clock completion time for this round.
 
         Returns:
-            ``(responses, engine_runs)`` — one terminal response per
-            entry, in entry order, and how many unique work items
-            actually entered the engine.
+            ``(responses, engine_runs, memo_keys)`` — one terminal
+            response per entry, in entry order; how many unique work
+            items actually entered the engine; and, by submission id,
+            the memo key each payer's result was filed under (the
+            service journals it for :meth:`seed_memo`).
         """
         responses: List[Optional[Response]] = [None] * len(entries)
         works: Dict[tuple, _Work] = {}
         members: Dict[tuple, List[int]] = {}
+        memo_keys: Dict[int, tuple] = {}
 
         def latency(i: int) -> float:
             return now - entries[i][0].submitted_at
@@ -334,6 +343,8 @@ class Scheduler:
             members.setdefault(work.key, []).append(i)
 
         def complete(key: tuple, result: ServeResult, payer: Optional[int]) -> None:
+            if payer is not None:
+                memo_keys[entries[payer][0].submission_id] = key
             for i in members[key]:
                 responses[i] = Completed(
                     entries[i][0], result, dedup=(i != payer), latency=latency(i)
@@ -429,4 +440,4 @@ class Scheduler:
                 complete(key, result, payer=members[key][0])
 
         assert all(r is not None for r in responses)
-        return list(responses), engine_runs
+        return list(responses), engine_runs, memo_keys

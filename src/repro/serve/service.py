@@ -330,26 +330,36 @@ class ConditionService:
         self._journaled_results[key] = (result, sid)
 
     def _journal_responses(
-        self, now: float, responses: Sequence[Response]
+        self,
+        now: float,
+        responses: Sequence[Response],
+        memo_keys: Mapping[int, tuple],
     ) -> None:
-        """Buffer completion records, sharing payloads via ``cref``."""
+        """Buffer completion records, sharing payloads via ``cref``.
+
+        A payer's record, ``complete`` or ``cref``, carries the memo key
+        its round filed the result under (``memo_keys``, from
+        :meth:`Scheduler.run_batch`); every other record carries
+        ``None``.
+        """
         if self._journal is None:
             return
         try:
             for response in responses:
                 sid = response.ticket.submission_id
+                key = memo_keys.get(sid)
                 if isinstance(response, Completed):
                     ref = self._journaled_results.get(id(response.result))
                     if ref is not None:
                         self._journal.append(
                             ("cref", sid, now, ref[1], response.dedup,
-                             response.latency)
+                             response.latency, key)
                         )
                         continue
-                    self._journal.append(("complete", sid, now, response))
+                    self._journal.append(("complete", sid, now, response, key))
                     self._remember_result(response.result, sid)
                 else:
-                    self._journal.append(("complete", sid, now, response))
+                    self._journal.append(("complete", sid, now, response, key))
         except JournalError:
             self._health.on_journal_error(now)
 
@@ -400,10 +410,7 @@ class ConditionService:
         if self._closed:
             raise ServiceError("service is shut down")
         self._health.on_submit(self._now())
-        return self._ingest.push(
-            tenant, stream, seq, samples, rate_hz=rate_hz,
-            journal=self._journal is not None,
-        )
+        return self._ingest.push(tenant, stream, seq, samples, rate_hz=rate_hz)
 
     def subscribe_stream(
         self, submission: Submission
@@ -498,7 +505,7 @@ class ConditionService:
         if not entries:
             self._health.on_pump(round_now)
             return []
-        responses, engine_runs = self._scheduler.run_batch(
+        responses, engine_runs, memo_keys = self._scheduler.run_batch(
             entries, now=round_now
         )
         self._metrics.engine_runs += engine_runs
@@ -512,7 +519,7 @@ class ConditionService:
             round_index, "store"
         ):
             self._kill()
-        self._journal_responses(round_now, responses)
+        self._journal_responses(round_now, responses, memo_keys)
         if self._faults is not None and self._faults.kill_on_pump(
             round_index, "end"
         ):
@@ -620,7 +627,7 @@ class ConditionService:
                 self._metrics.cancelled += 1
                 self._store.put(ticket.submission_id, cancelled, now)
                 responses.append(cancelled)
-            self._journal_responses(now, responses)
+            self._journal_responses(now, responses, {})
         self._closed = True
         if self._journal is not None:
             try:
@@ -661,10 +668,14 @@ class ConditionService:
         * every durable completion is re-answered **bit-identically**
           (same ids, same payloads, same dedup flags and latencies) and
           re-stored under its original completion time;
-        * the interrupted round, if any, is re-executed through the
-          engine at its journaled logical time, with the coalescing
-          memo pre-seeded from durable completions so payer/dedup
+        * the coalescing memo is seeded from the memo keys journaled
+          with durable payers, so no condition is re-validated; the
+          interrupted round, if any, is re-executed through the engine
+          at its journaled logical time on that memo, so payer/dedup
           structure is preserved;
+        * streams are rebuilt in bulk from their chunk records and
+          subscriptions re-registered, then one catch-up advance
+          re-derives every streamed event;
         * accepts that never reached a round are re-enqueued;
         * the ticket counter, logical clock, and per-tenant quota state
           (pending and lifetime budgets) are restored, so a restart
@@ -686,9 +697,11 @@ class ConditionService:
             truncate_journal(journal, scan.valid_bytes)
 
         accepts: Dict[int, Tuple[float, Submission]] = {}
-        completions: Dict[int, Tuple[float, Response]] = {}
+        # sid -> (completed at, response, payer's memo key or None)
+        completions: Dict[int, Tuple[float, Response, Optional[tuple]]] = {}
         rounds: List[Tuple[float, Tuple[int, ...]]] = []
-        stream_records: List[tuple] = []
+        chunk_records: List[tuple] = []
+        sub_records: List[tuple] = []
         clock = 0.0
         for record in scan.records:
             kind = record[0]
@@ -699,11 +712,11 @@ class ConditionService:
                 _, now, member_ids = record
                 rounds.append((now, tuple(member_ids)))
             elif kind == "complete":
-                _, sid, now, response = record
-                completions[sid] = (now, response)
+                _, sid, now, response, key = record
+                completions[sid] = (now, response, key)
             elif kind == "cref":
                 # A completion sharing an earlier payload.
-                _, sid, now, ref_sid, dedup, latency = record
+                _, sid, now, ref_sid, dedup, latency, key = record
                 base = completions.get(ref_sid)
                 accepted = accepts.get(sid)
                 if (
@@ -718,13 +731,14 @@ class ConditionService:
                             ticket, base[1].result,
                             dedup=dedup, latency=latency,
                         ),
+                        key,
                     )
             elif kind == "chunk":
                 now = record[4]
-                stream_records.append(record)
+                chunk_records.append(record)
             else:  # sub
                 now = record[2]
-                stream_records.append(record)
+                sub_records.append(record)
             clock = max(clock, now)
 
         service = cls(
@@ -748,24 +762,17 @@ class ConditionService:
             service._next_id = max(accepts) + 1
         service._pump_index = len(rounds)
 
-        # Streams rebuild from their durable chunk/sub records, in
-        # journal order (re-pushing is idempotent by seq; subscription
-        # ids reattach from the records).  One catch-up advance then
-        # re-derives every streamed wake event — bit-identical to the
-        # pre-crash run, because streamed evaluation is invariant to
-        # how arrivals were chunked into rounds.
-        for record in stream_records:
-            if record[0] == "chunk":
-                _, tenant, stream, seq, _, rates, samples = record
-                service._ingest.push(
-                    tenant, stream, seq, samples, rate_hz=rates,
-                    journal=False,
-                )
-            else:
-                _, sub_id, _, submission = record
-                service._ingest.subscribe(
-                    submission, journal=False, sub_id=sub_id
-                )
+        # Streams rebuild in bulk from their durable chunk records,
+        # then subscriptions re-register in journal order (ids reattach
+        # from the records; a cursor starts at zero, so when it
+        # subscribed does not change its results).  One catch-up
+        # advance then re-derives every streamed wake event —
+        # bit-identical to the pre-crash run, because streamed
+        # evaluation is invariant to how arrivals were chunked into
+        # rounds.
+        streams, chunks = service._ingest.restore(chunk_records)
+        for _, sub_id, _, submission in sub_records:
+            service._ingest.subscribe(submission, journal=False, sub_id=sub_id)
         if service._ingest.dirty:
             service._ingest.advance()
 
@@ -778,19 +785,21 @@ class ConditionService:
 
         # ... and every durable completion had already left the queue.
         replayed: List[Response] = []
-        for sid, (completed_at, response) in completions.items():
+        seeded = 0
+        for sid, (completed_at, response, key) in completions.items():
             accepted = accepts.get(sid)
             if accepted is not None:
                 service._admission.on_scheduled(accepted[1].tenant)
             if isinstance(response, Completed):
                 service._metrics.on_completed(response.latency, response.dedup)
-                # Seed the coalescing memo (payers only — they carry
-                # the authoritative result) and the journal's
-                # result-reference map, so post-recovery coalescing
-                # and journaling behave exactly as before the crash.
-                if not response.dedup and accepted is not None:
-                    service._scheduler.seed_memo(
-                        accepted[1], response.result
+                # Seed the coalescing memo (payers only — their records
+                # carry the key their result was filed under) and the
+                # journal's result-reference map, so post-recovery
+                # coalescing and journaling behave exactly as before
+                # the crash.
+                if key is not None:
+                    seeded += service._scheduler.seed_memo(
+                        key, response.result
                     )
                 service._remember_result(response.result, sid)
             elif isinstance(response, Cancelled):
@@ -824,7 +833,7 @@ class ConditionService:
             ]
             for ticket, _ in entries:
                 service._admission.on_scheduled(ticket.tenant)
-            responses, engine_runs = service._scheduler.run_batch(
+            responses, engine_runs, memo_keys = service._scheduler.run_batch(
                 entries, now=round_now
             )
             service._metrics.engine_runs += engine_runs
@@ -838,7 +847,7 @@ class ConditionService:
                 service._store.put(
                     response.ticket.submission_id, response, round_now
                 )
-            service._journal_responses(round_now, responses)
+            service._journal_responses(round_now, responses, memo_keys)
             service._journal_flush()
             reexecuted.extend(responses)
 
@@ -861,6 +870,9 @@ class ConditionService:
             accepts=len(accepts),
             rounds=len(rounds),
             completions=len(completions),
+            seeded=seeded,
+            streams=streams,
+            chunks=chunks,
             replayed=tuple(replayed),
             reexecuted=tuple(reexecuted),
             requeued=tuple(requeued),

@@ -1142,7 +1142,9 @@ class EnginePool:
     callers.  :func:`shutdown_pool` tears down the default,
     :meth:`RunContext.shutdown_pool` a context's own.  Handles are
     cheap until :meth:`obtain` actually forks workers, and every live
-    handle is torn down at interpreter exit.
+    handle is torn down at interpreter exit.  A handle dropped with
+    workers alive is torn down when it is collected, so its shared
+    trace segments are unlinked rather than leaked.
     """
 
     def __init__(self) -> None:
@@ -1151,6 +1153,7 @@ class EnginePool:
         self._workers: int = 0
         self._traces: Dict[str, Trace] = {}
         self._export = None  # TraceExport keeping shm segments alive
+        self._finalizer: Optional[weakref.finalize] = None
         _LIVE_POOLS.add(self)
 
     @property
@@ -1165,12 +1168,10 @@ class EnginePool:
 
     def shutdown(self) -> None:
         """Tear down the workers (idempotent; the handle stays usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._export is not None:
-            # Workers are gone (shutdown waited), so the segments can
-            # be unlinked; until here this export kept them alive.
-            self._export.close()
+        if self._finalizer is not None:
+            self._finalizer.detach()
+            self._finalizer = None
+        _release_pool(self._pool, self._export)
         self._pool = None
         self._key = None
         self._workers = 0
@@ -1226,6 +1227,9 @@ class EnginePool:
         # the pool that shipped them is alive.
         self._traces = registry
         self._export = export
+        self._finalizer = weakref.finalize(
+            self, _release_pool, self._pool, export
+        )
         return self._pool, workers, False
 
     def is_warm(
@@ -1244,10 +1248,20 @@ class EnginePool:
         )
 
 
+def _release_pool(pool: Optional[ProcessPoolExecutor], export) -> None:
+    """Shut a pool's workers down, then unlink its shared segments."""
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if export is not None:
+        # Workers are gone (shutdown waited), so the segments can be
+        # unlinked; until here this export kept them alive.
+        export.close()
+
+
 # Every handle ever constructed, so interpreter exit reaps stray
 # workers even when an embedder forgot its own shutdown.  Weak refs:
-# a collected handle already lost its workers via ProcessPoolExecutor
-# finalization, and pinning it here would leak every per-context pool.
+# a collected handle's finalizer already released its workers and
+# segments, and pinning it here would leak every per-context pool.
 _LIVE_POOLS: "weakref.WeakSet[EnginePool]" = weakref.WeakSet()
 
 #: The default handle, used by ``execute_plan(..., context=None)``

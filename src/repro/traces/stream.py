@@ -19,7 +19,7 @@ final assembled trace whole.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -76,13 +76,13 @@ class StreamBuffer:
         rate_hz: Sampling rate per channel name; fixes the channel set
             for the stream's lifetime.
 
-    Chunks append through :meth:`push` with a per-stream sequence
-    number; ``seq`` must be the next unseen number (re-pushing an
-    already-applied ``seq`` — journal replay, reconnect retries — is a
-    counted no-op, a gap is an error).  Channels within one stream
-    should advance roughly together: the assembled :meth:`to_trace`
-    enforces the ``Trace`` consistency contract between every
-    channel's sample count and the stream duration.
+    Chunks append through :meth:`push` (or, several at once, through
+    :meth:`extend`) with a per-stream sequence number; ``seq`` must be
+    the next unseen number (re-pushing an already-applied ``seq`` — a
+    reconnect retry — is a no-op, a gap is an error).  Channels within
+    one stream should advance roughly together: the assembled
+    :meth:`to_trace` enforces the ``Trace`` consistency contract
+    between every channel's sample count and the stream duration.
     """
 
     def __init__(self, name: str, rate_hz: Dict[str, float]):
@@ -130,8 +130,10 @@ class StreamBuffer:
             for name, rate in self.rate_hz.items()
         )
 
-    def push(self, seq: int, samples: Dict[str, np.ndarray]) -> bool:
+    def push(self, seq: int, samples: Mapping[str, np.ndarray]) -> bool:
         """Append one sequence-numbered chunk of per-channel samples.
+
+        The one-chunk case of :meth:`extend`.
 
         Args:
             seq: The chunk's per-stream sequence number.
@@ -140,17 +142,35 @@ class StreamBuffer:
 
         Returns:
             True when the chunk was applied; False when ``seq`` was
-            already applied (idempotent duplicate — journal replay or a
-            device retrying after reconnect).
+            already applied (idempotent duplicate — a device retrying
+            after reconnect).
+
+        Raises:
+            TraceError: as :meth:`extend`.
+        """
+        return self.extend(seq, 1, samples) == 1
+
+    def extend(
+        self, seq: int, count: int, samples: Mapping[str, np.ndarray]
+    ) -> int:
+        """Append a run of ``count`` chunks numbered ``seq`` onwards.
+
+        ``samples`` holds, per channel, the run's samples concatenated
+        in chunk order, so each channel is appended once.  A run
+        starting at an already-applied ``seq`` is an idempotent no-op.
+
+        Returns:
+            How many chunks were applied: ``count``, or 0 for a
+            duplicate.
 
         Raises:
             TraceError: on a sequence gap, an unknown channel, or
                 samples that are not a 1-D numeric array.  Every
                 channel is checked before any is applied, so a refused
-                chunk leaves the buffer unchanged.
+                run leaves the buffer unchanged.
         """
         if seq < self.next_seq:
-            return False
+            return 0
         if seq > self.next_seq:
             raise TraceError(
                 f"stream {self.name!r}: chunk seq {seq} arrived before "
@@ -178,8 +198,8 @@ class StreamBuffer:
             arrays[name] = array
         for name, array in arrays.items():
             self._columns[name].append(array)
-        self.next_seq += 1
-        return True
+        self.next_seq += count
+        return count
 
     def channel_span(self, name: str, start: int, stop: int) -> Chunk:
         """Items ``[start, stop)`` of one channel as a SCALAR chunk.

@@ -67,3 +67,27 @@ def test_cli_pooled_sweep_releases_shared_memory():
     assert "Figure 5" in proc.stdout
     assert "# engine: pool" in proc.stderr
     assert "leaked shared_memory" not in proc.stderr
+
+
+def test_dropped_pooled_context_releases_shared_memory():
+    # A library caller that drops its context without shutting the
+    # pool down: the pool handle's finalizer stops the workers and
+    # unlinks the shared-memory trace export when it is collected.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "from repro.eval.figures import figure5_series\n"
+        "from repro.sim.engine import RunContext\n"
+        "from repro.traces.library import robot_corpus\n"
+        "context = RunContext()\n"
+        "figure5_series(robot_corpus(duration_s=120.0), jobs=2,"
+        " context=context)\n"
+        "assert context.pool.active\n"
+        "del context\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "leaked shared_memory" not in proc.stderr

@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps import all_applications
 from repro.errors import ServiceKilled
+from repro.serve import scheduler as scheduler_module
 from repro.serve import (
     Completed,
     ConditionService,
@@ -31,6 +32,12 @@ from repro.serve import (
     run_fleet,
     shard_journal_path,
 )
+from repro.serve.loadgen import (
+    STREAM_INCREMENTAL_IL,
+    STREAM_REPLAY_IL,
+    VALID_ACCEL_IL,
+)
+from repro.traces.robot import RobotRunConfig, generate_robot_run
 
 QUOTA = TenantQuota(max_pending=2)
 PUMP_EVERY = 16
@@ -211,6 +218,101 @@ def _accepted(svc, registry, tenant="t1", lane=Lane.BULK):
     )
     assert not isinstance(outcome, Rejected), outcome
     return outcome
+
+
+class TestRecoveryReadsTheJournal:
+    """Recovery seeds the coalescing memo from the keys journaled with
+    each payer instead of re-deriving them: no condition re-validates,
+    and every payer is coalesced onto again afterwards."""
+
+    def test_recovery_validates_no_condition(
+        self, registry, tmp_path, monkeypatch
+    ):
+        conditions = VALID_ACCEL_IL + STREAM_INCREMENTAL_IL + STREAM_REPLAY_IL
+        accel = [n for n, trace in registry.items() if "ACC_X" in trace.data]
+        journal = tmp_path / "shard.wal"
+        svc = ConditionService(registry, journal=journal)
+        try:
+            # Every condition twice per trace: one payer, one dedup.
+            for k, il in enumerate(conditions * 2):
+                for name in accel:
+                    ticket = svc.submit(Submission(f"t{k}", name, il=il))
+                    assert not isinstance(ticket, Rejected), ticket
+            responses = svc.drain()
+        finally:
+            svc.shutdown()
+        payers = [r for r in responses if not r.dedup]
+        assert len(payers) == len(conditions) * len(accel)
+
+        calls = []
+        validate = scheduler_module.validate_condition
+
+        def counting(il, *args, **kwargs):
+            calls.append(il)
+            return validate(il, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "validate_condition", counting)
+        recovered, stats = ConditionService.recover(journal, registry)
+        try:
+            assert calls == []
+            assert stats.seeded == len(payers)
+            assert f"{len(payers)} memo entries seeded" in stats.describe()
+            for k, il in enumerate(conditions):
+                for name in accel:
+                    recovered.submit(Submission(f"r{k}", name, il=il))
+            again = recovered.drain()
+            assert all(isinstance(r, Completed) and r.dedup for r in again)
+            assert recovered.metrics().engine_runs == 0
+            # A condition validates on its first submission after.
+            assert sorted(calls) == sorted(conditions)
+        finally:
+            recovered.shutdown()
+
+    def test_never_firing_payers_are_seeded_from_cref_records(
+        self, tmp_path
+    ):
+        # Two conditions that never fire both return the one empty
+        # tuple, so the second payer is journaled as a cref record.
+        trace = generate_robot_run(
+            RobotRunConfig(group=2, duration_s=60.0, seed=7)
+        )
+        registry = {trace.name: trace}
+        never = (
+            "ACC_X -> minThreshold(id=1, params={1000}); 1 -> OUT;",
+            "ACC_Y -> minThreshold(id=1, params={1000}); 1 -> OUT;",
+        )
+        journal = tmp_path / "shard.wal"
+        svc = ConditionService(
+            registry, journal=journal,
+            faults=ServiceFaultPlan(kill_after_accepts=3),
+        )
+        for k, il in enumerate(never):
+            svc.submit(Submission(f"t{k}", trace.name, il=il))
+        first = svc.pump()
+        assert [(r.result, r.dedup) for r in first] == [
+            ((), False), ((), False),
+        ]
+        with pytest.raises(ServiceKilled):
+            svc.submit(Submission("t2", trace.name, il=never[0]))
+        records = [
+            record for record in read_journal(journal).records
+            if record[0] in ("complete", "cref")
+        ]
+        assert [record[0] for record in records] == ["complete", "cref"]
+        assert all(record[-1] is not None for record in records)
+
+        recovered, stats = ConditionService.recover(journal, registry)
+        try:
+            assert stats.seeded == 2
+            spaced = "  " + never[1].replace("; ", " ;\n   ") + "\n"
+            for k, il in enumerate((never[1], spaced)):
+                recovered.submit(Submission(f"r{k}", trace.name, il=il))
+            again = recovered.drain()
+            assert [(r.result, r.dedup) for r in again] == [
+                ((), True), ((), True),
+            ]
+        finally:
+            recovered.shutdown()
 
 
 class TestDamagedJournals:

@@ -425,7 +425,7 @@ class TestExecutor:
             for k, sub in enumerate(submissions)
         ]
         try:
-            responses, engine_runs = scheduler.run_batch(entries, now=1.0)
+            responses, engine_runs, _ = scheduler.run_batch(entries, now=1.0)
             assert engine_runs == len(submissions)
             assert all(isinstance(r, Completed) for r in responses)
             assert context.pool.active

@@ -178,7 +178,7 @@ def test_scheduler_answers_each_request_when_a_merged_run_fails(
         (Ticket(k, f"t{k}", 0.0), Submission(f"t{k}", clips[0].name, il=text))
         for k, text in enumerate(texts)
     ]
-    responses, engine_runs = scheduler.run_batch(entries, now=1.0)
+    responses, engine_runs, _ = scheduler.run_batch(entries, now=1.0)
     expected = _reference([(_graph(t), clips[0]) for t in texts])
     assert engine_runs == len(texts)
     assert all(isinstance(r, Completed) for r in responses)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api.manager import validate_condition
 from repro.errors import TraceError
+from repro.serve.ingest import StreamIngest
 from repro.sim.simulator import run_wakeup_condition
 from repro.serve import (
     HUB_CATALOGS,
@@ -21,6 +22,7 @@ from repro.serve import (
     Rejected,
     ShardCluster,
     Submission,
+    read_journal,
 )
 
 RATE = 50.0
@@ -76,6 +78,11 @@ def _reference(il, chunks, chunk_seconds=4.0):
         buffer.push(seq, chunk)
     _, graph, _ = validate_condition(il, HUB_CATALOGS["default"])
     return tuple(run_wakeup_condition(graph, buffer.to_trace(), chunk_seconds))
+
+
+def _history(service, tenant="t0", stream="s0"):
+    """A shard's assembled stream: everything pushed to it so far."""
+    return service._ingest._buffers[(tenant, stream)].to_trace()
 
 
 class TestStreamedEqualsWhole:
@@ -355,3 +362,63 @@ class TestRecovery:
         recovered.shutdown()
         assert logs[sub_id] == _reference(il, chunks)
         assert replayed == logs
+
+    def test_chunk_records_hold_float64_bytes(self, tmp_path):
+        """Chunk samples are journaled as raw float64 bytes, the dtype
+        the stream stores, so int lists and float32 arrays replay bit
+        for bit."""
+        rng = np.random.default_rng(19)
+        chunks = [
+            {
+                "ACC_X": [int(v) for v in rng.integers(-3, 4, size=100)],
+                "ACC_Y": rng.normal(0.7, 0.25, size=100).astype(np.float32),
+            }
+            for _ in range(4)
+        ]
+        journal = tmp_path / "shard.journal"
+        service = ConditionService(traces={}, journal=journal)
+        _push_all(service, chunks[:1])
+        sub_id = service.subscribe_stream(
+            Submission(tenant="t0", trace="s0", il=CONDITIONS["incremental"])
+        )
+        _push_all(service, chunks[1:], start=1)
+        live = _history(service)
+        logs = service.close_stream("t0", "s0")
+        service.shutdown()
+
+        journaled = [
+            record[6] for record in read_journal(journal).records
+            if record[0] == "chunk"
+        ]
+        assert len(journaled) == len(chunks)
+        for chunk, samples in zip(chunks, journaled):
+            for name, values in chunk.items():
+                assert type(samples[name]) is bytes
+                assert samples[name] == (
+                    np.asarray(values, dtype=np.float64).tobytes()
+                )
+        recovered, stats = ConditionService.recover(journal, traces={})
+        try:
+            assert (stats.streams, stats.chunks) == (1, len(chunks))
+            assert "1 streams rebuilt from 4 chunks" in stats.describe()
+            rebuilt = _history(recovered)
+            for name in live.channels:
+                assert rebuilt.data[name].tobytes() == live.data[name].tobytes()
+            assert recovered.close_stream("t0", "s0") == logs
+            assert logs[sub_id]
+        finally:
+            recovered.shutdown()
+
+    def test_restore_refuses_a_sequence_gap(self):
+        """A stream's journaled chunks must run on from its next seq."""
+        def record(seq):
+            return ("chunk", "t0", "s0", seq, 0.0, {"ACC_X": RATE},
+                    {"ACC_X": np.full(4, float(seq)).tobytes()})
+
+        for seqs in ((0, 2), (1, 2)):
+            with pytest.raises(TraceError, match="must append in order"):
+                StreamIngest(now=lambda: 0.0).restore(map(record, seqs))
+        ingest = StreamIngest(now=lambda: 0.0)
+        assert ingest.restore(map(record, (0, 1, 2))) == (1, 3)
+        assert ingest.next_seq("t0", "s0") == 3
+        assert ingest.chunks == 3
