@@ -223,7 +223,10 @@ def _print_execution(matrix, verbose: bool) -> None:
         f"shape {stats['shape_rounds']} rounds/"
         f"{stats['shape_cells']} cells | "
         f"merge {stats['merge_rounds']} rounds/"
-        f"{stats['merged_cells']} cells",
+        f"{stats['merged_cells']} cells | "
+        f"shared {stats['shared_reads']} reads/"
+        f"{stats['shared_entries']} entries/"
+        f"{stats['shared_bytes']} bytes",
         file=sys.stderr,
     )
     valid = stats["batch_valid_cells"]

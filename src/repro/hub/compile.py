@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.base import StreamAlgorithm, has_lowering, has_row_lowering
 from repro.errors import HubExecutionError
-from repro.hub.runtime import WakeEvent, fusion_eligibility
+from repro.hub.runtime import WakeEvent, fusion_eligibility, live_nodes
 from repro.il.ast import ChannelRef, SourceRef
 from repro.il.graph import DataflowGraph
 from repro.sensors.samples import BatchedChunk, Chunk, StreamKind
@@ -209,6 +209,7 @@ class CompiledPlan:
     def execute(
         self,
         channel_data: Dict[str, Tuple[np.ndarray, np.ndarray, float]],
+        known: Optional[Mapping[int, Chunk]] = None,
     ) -> List[WakeEvent]:
         """Run the array program over one trace's channel arrays.
 
@@ -218,6 +219,14 @@ class CompiledPlan:
                 sampling rate — the form
                 :meth:`repro.traces.base.Trace.channel_arrays` returns
                 and :func:`repro.hub.runtime.split_into_rounds` takes.
+            known: Whole-trace outputs of nodes already computed over
+                this trace, by node id.  A known node's output is taken
+                as it stands, and every step that only feeds known
+                nodes is skipped
+                (:func:`repro.hub.runtime.live_nodes`).  Each must
+                equal the node's ``lower`` output, as the joined rounds
+                of an interpreter run do: every step of a plan is
+                chunk-invariant.
 
         Returns:
             The wake events, bit-identical to interpreting the source
@@ -232,6 +241,10 @@ class CompiledPlan:
             raise HubExecutionError(
                 f"compiled plan missing data for channels {missing}"
             )
+        steps = self.steps
+        if known:
+            live = live_nodes(steps, (self.output_id,), known)
+            steps = tuple(step for step in steps if step.node_id in live)
         # One environment maps both channel names (str) and node ids
         # (int) to their whole-trace chunks; the key types never collide.
         env: Dict[Union[str, int], Chunk] = {}
@@ -243,7 +256,10 @@ class CompiledPlan:
                 np.asarray(values, dtype=np.float64),
                 rate,
             )
-        for step in self.steps:
+        for step in steps:
+            if known and step.node_id in known:
+                env[step.node_id] = known[step.node_id]
+                continue
             inputs = [
                 env[ref.channel] if isinstance(ref, ChannelRef) else env[ref.node_id]
                 for ref in step.inputs

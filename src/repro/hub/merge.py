@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.hub.runtime import HubRuntime, WakeEvent
-from repro.il.ast import ChannelRef, ILProgram, ILStatement, NodeRef, SourceRef
+from repro.hub.runtime import HubRuntime, WakeEvent, live_nodes
+from repro.il.ast import ChannelRef, ILProgram, ILStatement, NodeRef
 from repro.il.graph import DataflowGraph, build_graph
 from repro.il.validate import validate_program
 
 #: A node's structural identity: opcode, parameters, and the identities
-#: of its inputs.  Two nodes with equal keys compute the same stream.
-_NodeKey = Tuple
+#: of its inputs.  Two nodes with equal keys compute the same stream
+#: from the same channels.
+NodeKey = Tuple
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,14 @@ class MergedProgram:
             in input order.
         shared_nodes: Number of node instances saved by sharing.
         node_count: Nodes in the merged program.
+        keys: Each merged node's :data:`NodeKey`, by node id.
     """
 
     program: ILProgram
     taps: Tuple[int, ...]
     shared_nodes: int
     node_count: int
+    keys: Dict[int, NodeKey]
 
     @property
     def original_node_count(self) -> int:
@@ -57,20 +60,25 @@ class MergedProgram:
         return self.node_count + self.shared_nodes
 
 
-def _structural_key(
-    statement: ILStatement, keys: Dict[int, _NodeKey]
-) -> _NodeKey:
-    input_keys = []
-    for ref in statement.inputs:
-        if isinstance(ref, ChannelRef):
-            input_keys.append(("channel", ref.channel))
-        else:
-            input_keys.append(keys[ref.node_id])
-    return (statement.opcode, statement.params, tuple(input_keys))
+def node_keys(program: ILProgram) -> Dict[int, NodeKey]:
+    """Every node's :data:`NodeKey`, by node id, inputs before consumers."""
+    keys: Dict[int, NodeKey] = {}
+    for statement in _topological(program):
+        keys[statement.node_id] = (
+            statement.opcode,
+            statement.params,
+            tuple(
+                ("channel", ref.channel)
+                if isinstance(ref, ChannelRef)
+                else keys[ref.node_id]
+                for ref in statement.inputs
+            ),
+        )
+    return keys
 
 
 def merge_programs(programs: Sequence[ILProgram]) -> MergedProgram:
-    """Merge validated IL programs, sharing identical subcomputations.
+    """Merge IL programs, sharing identical subcomputations.
 
     Args:
         programs: One program per wake-up condition.  Each is validated
@@ -85,38 +93,47 @@ def merge_programs(programs: Sequence[ILProgram]) -> MergedProgram:
     """
     for program in programs:
         validate_program(program)
+    return _merge(programs)
 
+
+def merge_graphs(graphs: Sequence[DataflowGraph]) -> MergedProgram:
+    """:func:`merge_programs` over already validated conditions.
+
+    A :class:`~repro.il.graph.DataflowGraph` is what
+    :func:`repro.il.validate.validate_program` returns, so its program
+    is merged as it stands, without validating it again.
+    """
+    return _merge([graph.program for graph in graphs])
+
+
+def _merge(programs: Sequence[ILProgram]) -> MergedProgram:
+    """The merge core: one statement per distinct :data:`NodeKey`."""
     statements: List[ILStatement] = []
-    by_key: Dict[_NodeKey, int] = {}
+    by_key: Dict[NodeKey, int] = {}
     taps: List[int] = []
     shared = 0
-    next_id = 1
 
     for program in programs:
-        keys: Dict[int, _NodeKey] = {}
+        by_id = program.statement_by_id()
         local_to_merged: Dict[int, int] = {}
-        ordered = _topological(program)
-        for statement in ordered:
-            key = _structural_key(statement, keys)
-            keys[statement.node_id] = key
+        for node_id, key in node_keys(program).items():
             existing = by_key.get(key)
             if existing is not None:
-                local_to_merged[statement.node_id] = existing
+                local_to_merged[node_id] = existing
                 shared += 1
                 continue
-            inputs: List[SourceRef] = []
-            for ref in statement.inputs:
-                if isinstance(ref, ChannelRef):
-                    inputs.append(ref)
-                else:
-                    inputs.append(NodeRef(local_to_merged[ref.node_id]))
-            merged_statement = ILStatement(
-                tuple(inputs), statement.opcode, next_id, statement.params
+            statement = by_id[node_id]
+            merged_id = len(statements) + 1
+            inputs = tuple(
+                ref if isinstance(ref, ChannelRef)
+                else NodeRef(local_to_merged[ref.node_id])
+                for ref in statement.inputs
             )
-            statements.append(merged_statement)
-            by_key[key] = next_id
-            local_to_merged[statement.node_id] = next_id
-            next_id += 1
+            statements.append(ILStatement(
+                inputs, statement.opcode, merged_id, statement.params
+            ))
+            by_key[key] = merged_id
+            local_to_merged[node_id] = merged_id
         taps.append(local_to_merged[program.output.node_id])
 
     merged = ILProgram(tuple(statements), NodeRef(taps[0]))
@@ -125,6 +142,36 @@ def merge_programs(programs: Sequence[ILProgram]) -> MergedProgram:
         taps=tuple(taps),
         shared_nodes=shared,
         node_count=len(statements),
+        keys={node_id: key for key, node_id in by_key.items()},
+    )
+
+
+def frontier(merged: MergedProgram) -> Tuple[int, ...]:
+    """The shared nodes where the merged conditions part ways.
+
+    A node is on the frontier when two or more conditions use it and
+    it feeds a node that fewer of them use: the last node of a front
+    end the conditions have in common (every siren's ``fft``; the two
+    ``variance`` stats music and phrase conditions share).  Node ids
+    in program order.
+    """
+    statements = merged.program.statements
+    users: Dict[int, int] = {}
+    for tap in merged.taps:
+        for node_id in live_nodes(statements, (tap,), ()):
+            users[node_id] = users.get(node_id, 0) + 1
+    parting = set()
+    for statement in statements:
+        for ref in statement.inputs:
+            if (
+                isinstance(ref, NodeRef)
+                and users[ref.node_id] >= 2
+                and users[statement.node_id] < users[ref.node_id]
+            ):
+                parting.add(ref.node_id)
+    return tuple(
+        statement.node_id for statement in statements
+        if statement.node_id in parting
     )
 
 

@@ -24,7 +24,18 @@ moving averages warm up across chunk boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -99,6 +110,17 @@ class HubRuntime:
             HubExecutionError: when a channel the condition reads has
                 no chunk this round.
         """
+        return self._feed(channel_chunks, taps, self.graph.nodes, None)
+
+    def _feed(
+        self,
+        channel_chunks: Dict[str, Chunk],
+        taps: Optional[Sequence[int]],
+        nodes: Sequence,
+        known: Optional[Mapping[int, Chunk]],
+    ) -> Union[List[WakeEvent], Dict[int, List[WakeEvent]]]:
+        """:meth:`feed` over ``nodes`` alone, taking ``known`` nodes'
+        outputs as given instead of running them."""
         missing = [c for c in self.graph.channels if c not in channel_chunks]
         if missing:
             raise HubExecutionError(
@@ -110,23 +132,29 @@ class HubRuntime:
             node_id: [] for node_id in (taps if taps is not None else (out_id,))
         }
         round_outputs: Dict[int, Chunk] = {}
-        for node in self.graph.nodes:
+        for node in nodes:
             state = self.states[node.node_id]
-            inputs = self._gather_inputs(node.inputs, channel_chunks, round_outputs)
-            if len(node.inputs) > 1:
-                inputs = self._synchronize(state, inputs)
-            if all(chunk.is_empty for chunk in inputs):
-                # Nothing arrived on any port this round: the paper's
-                # interpreter simply would not invoke the algorithm.
-                empty = Chunk.empty(
-                    node.algorithm.output_kind,
-                    inputs[0].rate_hz,
-                    None if node.algorithm.output_kind is StreamKind.SCALAR else 0,
+            if known is not None and node.node_id in known:
+                output = known[node.node_id]
+            else:
+                inputs = self._gather_inputs(
+                    node.inputs, channel_chunks, round_outputs
                 )
-                state.record_result(empty)
-                round_outputs[node.node_id] = empty
-                continue
-            output = node.algorithm.process(inputs)
+                if len(node.inputs) > 1:
+                    inputs = self._synchronize(state, inputs)
+                if all(chunk.is_empty for chunk in inputs):
+                    # Nothing arrived on any port this round: the paper's
+                    # interpreter simply would not invoke the algorithm.
+                    kind = node.algorithm.output_kind
+                    empty = Chunk.empty(
+                        kind,
+                        inputs[0].rate_hz,
+                        None if kind is StreamKind.SCALAR else 0,
+                    )
+                    state.record_result(empty)
+                    round_outputs[node.node_id] = empty
+                    continue
+                output = node.algorithm.process(inputs)
             state.record_result(output)
             round_outputs[node.node_id] = output
             events = tapped.get(node.node_id)
@@ -141,21 +169,65 @@ class HubRuntime:
         self,
         rounds: Iterable[Dict[str, Chunk]],
         taps: Optional[Sequence[int]] = None,
+        known: Optional[Mapping[int, Sequence[Chunk]]] = None,
+        record: Optional[Mapping[int, List[Chunk]]] = None,
     ) -> Union[List[WakeEvent], Dict[int, List[WakeEvent]]]:
         """Feed every round and return all wake events.
 
         With ``taps`` (see :meth:`feed`), one list per tap node id.
+
+        Args:
+            known: Per-round outputs of nodes already interpreted over
+                these same rounds (one chunk per round, in order), by
+                node id.  Each round replays a known node's output as
+                it stands, and every node that only feeds known nodes
+                is skipped (:func:`live_nodes`).
+            record: Lists, by node id, that each round's output of that
+                node is appended to, as the interpreter produced it (a
+                recorded node must be one the run visits).
+
+        Raises:
+            HubExecutionError: when ``known`` outputs do not cover
+                exactly the rounds run.
         """
-        if taps is None:
-            events: List[WakeEvent] = []
-            for chunks in rounds:
-                events.extend(self.feed(chunks))
-            return events
-        tapped: Dict[int, List[WakeEvent]] = {node_id: [] for node_id in taps}
+        outputs = tuple(taps) if taps is not None else (self.graph.output_id,)
+        nodes = self.graph.nodes
+        replay: Dict[int, Sequence[Chunk]] = {}
+        if known:
+            live = live_nodes(self.graph.nodes, outputs, known)
+            nodes = [node for node in nodes if node.node_id in live]
+            replay = {
+                node_id: chunks for node_id, chunks in known.items()
+                if node_id in live
+            }
+        tapped: Dict[int, List[WakeEvent]] = {
+            node_id: [] for node_id in outputs
+        }
+        count = 0
         for chunks in rounds:
-            for node_id, events in self.feed(chunks, taps).items():
+            current = None
+            if replay:
+                try:
+                    current = {
+                        node_id: per_round[count]
+                        for node_id, per_round in replay.items()
+                    }
+                except IndexError:
+                    raise HubExecutionError(
+                        "known node outputs cover fewer rounds than the run"
+                    ) from None
+            fed = self._feed(chunks, outputs, nodes, current)
+            for node_id, events in fed.items():
                 tapped[node_id].extend(events)
-        return tapped
+            if record:
+                for node_id, recorded in record.items():
+                    recorded.append(self.states[node_id].result)
+            count += 1
+        if any(len(per_round) != count for per_round in replay.values()):
+            raise HubExecutionError(
+                f"known node outputs cover more rounds than the run's {count}"
+            )
+        return tapped if taps is not None else tapped[self.graph.output_id]
 
     def run_fused(
         self,
@@ -243,6 +315,37 @@ class HubRuntime:
             )
             buffer.consume(available)
         return aligned
+
+
+def live_nodes(
+    nodes: Iterable,
+    outputs: Iterable[int],
+    known: Collection[int],
+) -> Set[int]:
+    """Node ids a run must visit to produce ``outputs``.
+
+    ``nodes`` are a graph's nodes, a compiled plan's steps or a
+    program's statements (anything with ``node_id`` and ``inputs``).
+    The walk goes back from the outputs and stops at each ``known``
+    node, whose output is given: the result holds every node on a path
+    to an output that passes no known node, and the known nodes those
+    paths reach (replayed, not run).  A node outside it only feeds
+    known nodes, so a run skips it.
+    """
+    inputs = {node.node_id: node.inputs for node in nodes}
+    live: Set[int] = set()
+    stack = list(outputs)
+    while stack:
+        node_id = stack.pop()
+        if node_id in live:
+            continue
+        live.add(node_id)
+        if node_id not in known:
+            stack.extend(
+                ref.node_id for ref in inputs[node_id]
+                if isinstance(ref, NodeRef)
+            )
+    return live
 
 
 def fusion_eligibility(graph: DataflowGraph) -> Optional[str]:

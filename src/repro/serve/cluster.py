@@ -174,6 +174,9 @@ def merge_snapshots(
         merge_shared_nodes=sum(
             snap.merge_shared_nodes for snap in per_shard
         ),
+        shared_reads=sum(snap.shared_reads for snap in per_shard),
+        shared_entries=sum(snap.shared_entries for snap in per_shard),
+        shared_bytes=sum(snap.shared_bytes for snap in per_shard),
         stream_chunks=sum(snap.stream_chunks for snap in per_shard),
         stream_subscriptions=sum(
             snap.stream_subscriptions for snap in per_shard

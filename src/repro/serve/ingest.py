@@ -171,7 +171,8 @@ class StreamIngest:
             ServiceError: unknown stream with no ``rate_hz``.
             TraceError: sequence gap, unknown channel or malformed
                 samples.  A refused chunk changes nothing and is not
-                journaled; a refused first chunk does not open the
+                journaled; a first chunk that applies nothing (refused,
+                or a duplicate ``seq`` below zero) does not open the
                 stream.
         """
         if not self._extend(tenant, stream, seq, 1, samples, rate_hz):
@@ -234,8 +235,10 @@ class StreamIngest:
         rate_hz: Optional[Mapping[str, float]],
     ) -> int:
         """Apply a run of chunks to one stream (see
-        :meth:`StreamBuffer.extend`), opening it on its first; returns
-        how many were applied."""
+        :meth:`StreamBuffer.extend`), opening it on the first chunk
+        applied; returns how many were applied.  A stream opens only
+        with a chunk, so nothing can subscribe to a stream the journal
+        holds no chunk of."""
         key = (tenant, stream)
         buffer = self._buffers.get(key)
         if buffer is None:
@@ -246,10 +249,10 @@ class StreamIngest:
                 )
             buffer = StreamBuffer(stream, dict(rate_hz))
         applied = buffer.extend(seq, count, samples)
-        if key not in self._buffers:
-            self._buffers[key] = buffer
-            self._by_stream[key] = []
         if applied:
+            if key not in self._buffers:
+                self._buffers[key] = buffer
+                self._by_stream[key] = []
             self.chunks += applied
             self._dirty = True
         return applied

@@ -116,6 +116,11 @@ class MetricsSnapshot:
             (``merged_cells / merge_rounds`` is the mean merge size).
         merge_shared_nodes: Node instances the merged runs skipped
             because another condition's identical node already ran.
+        shared_reads: Recorded shared-node outputs hub runs replayed
+            instead of recomputing a front end merged conditions share
+            on one recording.
+        shared_entries / shared_bytes: Shared-node outputs the engine
+            holds, and their array bytes.
         health_state: The :class:`~repro.serve.health.HealthMonitor`
             verdict (``"healthy"`` / ``"degraded"``) at snapshot time.
         health_transitions: Every ``(now, from, to)`` health transition
@@ -164,6 +169,9 @@ class MetricsSnapshot:
     merge_rounds: int = 0
     merged_cells: int = 0
     merge_shared_nodes: int = 0
+    shared_reads: int = 0
+    shared_entries: int = 0
+    shared_bytes: int = 0
     stream_chunks: int = 0
     stream_subscriptions: int = 0
     stream_backlog: int = 0
@@ -231,6 +239,9 @@ class MetricsSnapshot:
             "merge_rounds": self.merge_rounds,
             "merged_cells": self.merged_cells,
             "merge_shared_nodes": self.merge_shared_nodes,
+            "shared_reads": self.shared_reads,
+            "shared_entries": self.shared_entries,
+            "shared_bytes": self.shared_bytes,
             "stream_chunks": self.stream_chunks,
             "stream_subscriptions": self.stream_subscriptions,
             "stream_backlog": self.stream_backlog,
@@ -266,6 +277,8 @@ class MetricsSnapshot:
                 f"merge rounds {self.merge_rounds} | merged cells "
                 f"{self.merged_cells} | shared nodes "
                 f"{self.merge_shared_nodes}",
+                f"shared reads {self.shared_reads} | shared entries "
+                f"{self.shared_entries} ({self.shared_bytes} bytes)",
                 f"stream chunks {self.stream_chunks} | subs "
                 f"{self.stream_subscriptions} | backlog "
                 f"{self.stream_backlog} | lag {self.stream_lag_s:.2f}s | "
@@ -325,6 +338,9 @@ class MetricsRecorder:
         merge_rounds: int = 0,
         merged_cells: int = 0,
         merge_shared_nodes: int = 0,
+        shared_reads: int = 0,
+        shared_entries: int = 0,
+        shared_bytes: int = 0,
         stream_chunks: int = 0,
         stream_subscriptions: int = 0,
         stream_backlog: int = 0,
@@ -371,6 +387,9 @@ class MetricsRecorder:
             merge_rounds=merge_rounds,
             merged_cells=merged_cells,
             merge_shared_nodes=merge_shared_nodes,
+            shared_reads=shared_reads,
+            shared_entries=shared_entries,
+            shared_bytes=shared_bytes,
             stream_chunks=stream_chunks,
             stream_subscriptions=stream_subscriptions,
             stream_backlog=stream_backlog,

@@ -190,6 +190,21 @@ class Scheduler:
         """Node instances the merged runs did not run twice."""
         return self._context.stats.merge_shared_nodes
 
+    @property
+    def shared_reads(self) -> int:
+        """Recorded shared-node outputs hub runs replayed."""
+        return self._context.stats.shared_reads
+
+    @property
+    def shared_entries(self) -> int:
+        """Shared-node outputs the context holds."""
+        return self._context.stats.shared_entries
+
+    @property
+    def shared_bytes(self) -> int:
+        """Array bytes of those shared-node outputs."""
+        return self._context.stats.shared_bytes
+
     # -- registry views the service validates against -------------------
 
     @property

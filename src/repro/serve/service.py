@@ -558,6 +558,9 @@ class ConditionService:
             merge_rounds=self._scheduler.merge_rounds,
             merged_cells=self._scheduler.merged_cells,
             merge_shared_nodes=self._scheduler.merge_shared_nodes,
+            shared_reads=self._scheduler.shared_reads,
+            shared_entries=self._scheduler.shared_entries,
+            shared_bytes=self._scheduler.shared_bytes,
             stream_chunks=self._ingest.chunks,
             stream_subscriptions=self._ingest.subscriptions,
             stream_backlog=self._ingest.backlog,
@@ -758,125 +761,135 @@ class ConditionService:
             spill_dir=spill_dir,
             memory_budget=memory_budget,
         )
-        if accepts:
-            service._next_id = max(accepts) + 1
-        service._pump_index = len(rounds)
+        try:
+            if accepts:
+                service._next_id = max(accepts) + 1
+            service._pump_index = len(rounds)
 
-        # Streams rebuild in bulk from their durable chunk records,
-        # then subscriptions re-register in journal order (ids reattach
-        # from the records; a cursor starts at zero, so when it
-        # subscribed does not change its results).  One catch-up
-        # advance then re-derives every streamed wake event —
-        # bit-identical to the pre-crash run, because streamed
-        # evaluation is invariant to how arrivals were chunked into
-        # rounds.
-        streams, chunks = service._ingest.restore(chunk_records)
-        for _, sub_id, _, submission in sub_records:
-            service._ingest.subscribe(submission, journal=False, sub_id=sub_id)
-        if service._ingest.dirty:
-            service._ingest.advance()
-
-        # Quota state: every durable accept charged the tenant's
-        # lifetime budget and took a pending slot ...
-        for _, (_, submission) in accepts.items():
-            service._admission.on_accepted(submission.tenant)
-            service._metrics.submitted += 1
-            service._metrics.accepted += 1
-
-        # ... and every durable completion had already left the queue.
-        replayed: List[Response] = []
-        seeded = 0
-        for sid, (completed_at, response, key) in completions.items():
-            accepted = accepts.get(sid)
-            if accepted is not None:
-                service._admission.on_scheduled(accepted[1].tenant)
-            if isinstance(response, Completed):
-                service._metrics.on_completed(response.latency, response.dedup)
-                # Seed the coalescing memo (payers only — their records
-                # carry the key their result was filed under) and the
-                # journal's result-reference map, so post-recovery
-                # coalescing and journaling behave exactly as before
-                # the crash.
-                if key is not None:
-                    seeded += service._scheduler.seed_memo(
-                        key, response.result
-                    )
-                service._remember_result(response.result, sid)
-            elif isinstance(response, Cancelled):
-                service._metrics.cancelled += 1
-            else:
-                service._metrics.failed += 1
-            service._store.put(sid, response, completed_at)
-            replayed.append(response)
-
-        # Re-execute interrupted rounds at their original logical time.
-        # Normally only the last round can be incomplete (completions
-        # flush at round end), but injected journal errors can lose an
-        # earlier round's completions too — handle all of them.
-        reexecuted: List[Response] = []
-        in_rounds = set()
-        for round_now, member_ids in rounds:
-            in_rounds.update(member_ids)
-            missing = [
-                sid
-                for sid in member_ids
-                if sid not in completions and sid in accepts
-            ]
-            if not missing:
-                continue
-            entries = [
-                (
-                    Ticket(sid, accepts[sid][1].tenant, accepts[sid][0]),
-                    accepts[sid][1],
+            # Streams rebuild in bulk from their durable chunk records,
+            # then subscriptions re-register in journal order (ids reattach
+            # from the records; a cursor starts at zero, so when it
+            # subscribed does not change its results).  One catch-up
+            # advance then re-derives every streamed wake event —
+            # bit-identical to the pre-crash run, because streamed
+            # evaluation is invariant to how arrivals were chunked into
+            # rounds.
+            streams, chunks = service._ingest.restore(chunk_records)
+            for _, sub_id, _, submission in sub_records:
+                service._ingest.subscribe(
+                    submission, journal=False, sub_id=sub_id
                 )
-                for sid in missing
-            ]
-            for ticket, _ in entries:
-                service._admission.on_scheduled(ticket.tenant)
-            responses, engine_runs, memo_keys = service._scheduler.run_batch(
-                entries, now=round_now
-            )
-            service._metrics.engine_runs += engine_runs
-            for response in responses:
+            if service._ingest.dirty:
+                service._ingest.advance()
+
+            # Quota state: every durable accept charged the tenant's
+            # lifetime budget and took a pending slot ...
+            for _, (_, submission) in accepts.items():
+                service._admission.on_accepted(submission.tenant)
+                service._metrics.submitted += 1
+                service._metrics.accepted += 1
+
+            # ... and every durable completion had already left the queue.
+            replayed: List[Response] = []
+            seeded = 0
+            for sid, (completed_at, response, key) in completions.items():
+                accepted = accepts.get(sid)
+                if accepted is not None:
+                    service._admission.on_scheduled(accepted[1].tenant)
                 if isinstance(response, Completed):
                     service._metrics.on_completed(
                         response.latency, response.dedup
                     )
+                    # Seed the coalescing memo (payers only — their records
+                    # carry the key their result was filed under) and the
+                    # journal's result-reference map, so post-recovery
+                    # coalescing and journaling behave exactly as before
+                    # the crash.
+                    if key is not None:
+                        seeded += service._scheduler.seed_memo(
+                            key, response.result
+                        )
+                    service._remember_result(response.result, sid)
+                elif isinstance(response, Cancelled):
+                    service._metrics.cancelled += 1
                 else:
                     service._metrics.failed += 1
-                service._store.put(
-                    response.ticket.submission_id, response, round_now
+                service._store.put(sid, response, completed_at)
+                replayed.append(response)
+
+            # Re-execute interrupted rounds at their original logical time.
+            # Normally only the last round can be incomplete (completions
+            # flush at round end), but injected journal errors can lose an
+            # earlier round's completions too — handle all of them.
+            reexecuted: List[Response] = []
+            in_rounds = set()
+            for round_now, member_ids in rounds:
+                in_rounds.update(member_ids)
+                missing = [
+                    sid
+                    for sid in member_ids
+                    if sid not in completions and sid in accepts
+                ]
+                if not missing:
+                    continue
+                entries = [
+                    (
+                        Ticket(sid, accepts[sid][1].tenant, accepts[sid][0]),
+                        accepts[sid][1],
+                    )
+                    for sid in missing
+                ]
+                for ticket, _ in entries:
+                    service._admission.on_scheduled(ticket.tenant)
+                responses, engine_runs, memo_keys = (
+                    service._scheduler.run_batch(entries, now=round_now)
                 )
-            service._journal_responses(round_now, responses, memo_keys)
-            service._journal_flush()
-            reexecuted.extend(responses)
+                service._metrics.engine_runs += engine_runs
+                for response in responses:
+                    if isinstance(response, Completed):
+                        service._metrics.on_completed(
+                            response.latency, response.dedup
+                        )
+                    else:
+                        service._metrics.failed += 1
+                    service._store.put(
+                        response.ticket.submission_id, response, round_now
+                    )
+                service._journal_responses(round_now, responses, memo_keys)
+                service._journal_flush()
+                reexecuted.extend(responses)
 
-        # Accepts that never reached a round go back in the queue,
-        # bypassing capacity checks — they were admitted pre-crash.
-        requeued: List[int] = []
-        for sid, (accepted_at, submission) in accepts.items():
-            if sid in completions or sid in in_rounds:
-                continue
-            ticket = Ticket(sid, submission.tenant, accepted_at)
-            service._queue.restore((ticket, submission), submission.lane)
-            requeued.append(sid)
+            # Accepts that never reached a round go back in the queue,
+            # bypassing capacity checks — they were admitted pre-crash.
+            requeued: List[int] = []
+            for sid, (accepted_at, submission) in accepts.items():
+                if sid in completions or sid in in_rounds:
+                    continue
+                ticket = Ticket(sid, submission.tenant, accepted_at)
+                service._queue.restore((ticket, submission), submission.lane)
+                requeued.append(sid)
 
-        stats = RecoveryStats(
-            journal_bytes=scan.total_bytes,
-            valid_bytes=scan.valid_bytes,
-            truncated_bytes=scan.truncated_bytes,
-            truncation_reason=scan.reason,
-            records=len(scan.records),
-            accepts=len(accepts),
-            rounds=len(rounds),
-            completions=len(completions),
-            seeded=seeded,
-            streams=streams,
-            chunks=chunks,
-            replayed=tuple(replayed),
-            reexecuted=tuple(reexecuted),
-            requeued=tuple(requeued),
-            next_id=service._next_id,
-            clock=clock,
-        )
-        return service, stats
+            stats = RecoveryStats(
+                journal_bytes=scan.total_bytes,
+                valid_bytes=scan.valid_bytes,
+                truncated_bytes=scan.truncated_bytes,
+                truncation_reason=scan.reason,
+                records=len(scan.records),
+                accepts=len(accepts),
+                rounds=len(rounds),
+                completions=len(completions),
+                seeded=seeded,
+                streams=streams,
+                chunks=chunks,
+                replayed=tuple(replayed),
+                reexecuted=tuple(reexecuted),
+                requeued=tuple(requeued),
+                next_id=service._next_id,
+                clock=clock,
+            )
+            return service, stats
+        except BaseException:
+            # A failed rebuild must not leak the new service's
+            # journal file: close it, writing nothing further.
+            service._journal.crash()
+            raise

@@ -46,6 +46,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.api.compile import compile_pipeline
 from repro.api.pipeline import ProcessingPipeline
 from repro.errors import HubExecutionError
@@ -60,13 +62,25 @@ from repro.hub.compile import (
     structural_key,
 )
 from repro.hub.costmodel import CostModel
-from repro.hub.merge import merge_programs, merged_graph
-from repro.hub.runtime import HubRuntime, WakeEvent, split_into_rounds
+from repro.hub.merge import (
+    NodeKey,
+    frontier,
+    merge_graphs,
+    merged_graph,
+    node_keys,
+)
+from repro.hub.runtime import (
+    HubRuntime,
+    WakeEvent,
+    live_nodes,
+    split_into_rounds,
+)
 from repro.il.ast import ILProgram
 from repro.il.graph import DataflowGraph
 from repro.il.text import format_program
 from repro.il.validate import validate_program
 from repro.power.phone import NEXUS4, PhonePowerProfile
+from repro.sensors.samples import Chunk
 from repro.traces.base import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -120,6 +134,11 @@ class CacheStats:
             ``hub_miss``).
         merge_shared_nodes: Node instances those merged runs did not
             run because another row's identical node already did.
+        shared_reads: Recorded shared-node outputs replayed into a hub
+            run instead of recomputing the node and what only feeds it
+            (see :meth:`RunContext._recorded`).
+        shared_entries / shared_bytes: Shared-node outputs the context
+            holds, and their array bytes.
     """
 
     compile_hits: int = 0
@@ -141,6 +160,9 @@ class CacheStats:
     merge_rounds: int = 0
     merged_cells: int = 0
     merge_shared_nodes: int = 0
+    shared_reads: int = 0
+    shared_entries: int = 0
+    shared_bytes: int = 0
 
     @property
     def total_hits(self) -> int:
@@ -179,6 +201,9 @@ class CacheStats:
             "merge_rounds": self.merge_rounds,
             "merged_cells": self.merged_cells,
             "merge_shared_nodes": self.merge_shared_nodes,
+            "shared_reads": self.shared_reads,
+            "shared_entries": self.shared_entries,
+            "shared_bytes": self.shared_bytes,
         }
 
 
@@ -195,6 +220,20 @@ class _Row(NamedTuple):
     graph: DataflowGraph
     trace: Trace
     indices: List[int]
+
+
+def _joined(rounds: Sequence[Chunk]) -> Optional[Chunk]:
+    """A node's per-round outputs joined into one whole-trace chunk,
+    read-only like them; ``None`` when no round produced an item (an
+    empty round's chunk may lack the item width)."""
+    parts = [chunk for chunk in rounds if len(chunk)]
+    if not parts:
+        return None
+    times = np.concatenate([chunk.times for chunk in parts])
+    values = np.concatenate([chunk.values for chunk in parts])
+    times.flags.writeable = False
+    values.flags.writeable = False
+    return Chunk.view(parts[0].kind, times, values, parts[0].rate_hz)
 
 
 class RunContext:
@@ -267,6 +306,15 @@ class RunContext:
       chunk_seconds)`` — the complete determinants of a fault-free
       interpretation.  Faulty runs are never cached (the injector
       draws from a stochastic plan).
+    * **Shared node outputs** are keyed by ``(trace, chunk_seconds,
+      sorted channel set, node key)``, the node key being the
+      structural identity :func:`repro.hub.merge.node_keys` gives
+      (opcode, parameters, input keys): the complete determinants of
+      one node's per-round outputs from a cold start.  Only merged
+      runs record them, for their frontier nodes
+      (:func:`repro.hub.merge.frontier`), and every later hub run on
+      that recording replays them (:meth:`_recorded`).  Nothing
+      evicts them.
     * **Detector runs** are keyed by ``(application content key,
       trace, merged visible spans)``; ground-truth lookups by
       ``(application content key, trace)``.  The content key covers
@@ -309,6 +357,10 @@ class RunContext:
         self._traces: Dict[int, Trace] = {}
         self._channel_arrays: Dict[int, Dict[str, tuple]] = {}
         self._hub_runs: Dict[Tuple[str, int, float], Tuple[WakeEvent, ...]] = {}
+        self._shared: Dict[
+            Tuple[int, float, Tuple[str, ...]],
+            Dict[NodeKey, Tuple[Chunk, ...]],
+        ] = {}
         self._shape_sigs: Dict[str, str] = {}
         self._structural_keys: Dict[str, tuple] = {}
         self._detections: Dict[tuple, Tuple["Detection", ...]] = {}
@@ -522,8 +574,11 @@ class RunContext:
     ) -> List[WakeEvent]:
         """One condition over one trace at ``tier`` (asked when ``None``).
 
-        The run's seconds are filed under the fingerprint and, for a row
-        of a shape group, also under the group's ``group_key``.
+        Shared node outputs a merged run recorded on this recording are
+        replayed, so only the condition's own tail runs
+        (:meth:`_recorded`).  The run's seconds are filed under the
+        fingerprint and, for a row of a shape group, also under the
+        group's ``group_key``.
         """
         channels = self._trace_channels(graph.channels, trace)
         plan = self.compiled_plan(graph) if self.compiled else None
@@ -531,23 +586,93 @@ class RunContext:
         if tier is None:
             tier = self._choose(fp, plan)
         items = sum(len(triple[0]) for triple in channels.values())
+        stored = self.cache and self._shared.get(
+            self._recording(trace, chunk_seconds, graph.channels)
+        )
+        recorded = (
+            self._recorded(
+                graph, (graph.output_id,), node_keys(graph.program), stored
+            )
+            if stored else {}
+        )
         start = time.perf_counter()
         if tier == "compiled":
             # The compiled whole-trace array program (no rounds, no
             # interpreter state at all).  Plans are pure, so no reset.
-            events = plan.execute(channels)
+            # A recorded node's rounds join into its whole-trace output.
+            known = {
+                node_id: whole for node_id, rounds in recorded.items()
+                if (whole := _joined(rounds)) is not None
+            }
+            self.stats.shared_reads += len(known)
+            events = plan.execute(channels, known)
         else:
             # The graph may be a cached instance whose algorithm objects
             # carry state from a previous run; start cold.
             graph.reset()
+            self.stats.shared_reads += len(recorded)
             events = HubRuntime(graph).run(
-                split_into_rounds(channels, chunk_seconds)
+                split_into_rounds(channels, chunk_seconds), known=recorded
             )
         elapsed = time.perf_counter() - start
         self.cost_model.observe(fp, tier, elapsed, items)
         if group_key is not None:
             self.cost_model.observe(group_key, tier, elapsed, items)
         return events
+
+    # -- shared node outputs -------------------------------------------
+
+    def _recording(
+        self, trace: Trace, chunk_seconds: float, channels: Sequence[str]
+    ) -> Tuple[int, float, Tuple[str, ...]]:
+        """The shared-output store's key for one recording's rounds:
+        round edges follow the trace, the round length and the set of
+        channels split."""
+        return (
+            self._trace_key(trace), float(chunk_seconds),
+            tuple(sorted(channels)),
+        )
+
+    @staticmethod
+    def _recorded(
+        graph: DataflowGraph,
+        outputs: Sequence[int],
+        keys: Dict[int, NodeKey],
+        stored: Dict[NodeKey, Tuple[Chunk, ...]],
+    ) -> Dict[int, Tuple[Chunk, ...]]:
+        """Recorded per-round outputs a run of ``graph`` replays, by
+        node id (``keys`` gives each node's key).
+
+        Of the nodes whose key is ``stored``, those a walk back from
+        ``outputs`` reaches before any other stored node
+        (:func:`repro.hub.runtime.live_nodes`); each one a run takes
+        counts as a ``shared_read``.  Answers stay bit-identical: the
+        round interpreter gets back exactly the outputs it produced
+        over the same rounds, and a compiled plan's joined rounds equal
+        the node's whole-trace ``lower`` output, since every
+        compile-eligible node is chunk-invariant.
+        """
+        hits = {node_id for node_id, key in keys.items() if key in stored}
+        if not hits:
+            return {}
+        reached = hits & live_nodes(graph.nodes, outputs, hits)
+        return {node_id: stored[keys[node_id]] for node_id in reached}
+
+    def _record(
+        self,
+        stored: Dict[NodeKey, Tuple[Chunk, ...]],
+        key: NodeKey,
+        rounds: List[Chunk],
+    ) -> None:
+        """Keep one node's per-round outputs as the interpreter produced
+        them, read-only, so an in-place write downstream raises instead
+        of changing later answers."""
+        for chunk in rounds:
+            chunk.times.flags.writeable = False
+            chunk.values.flags.writeable = False
+            self.stats.shared_bytes += chunk.times.nbytes + chunk.values.nbytes
+        stored[key] = tuple(rounds)
+        self.stats.shared_entries += 1
 
     def wake_events_batch(
         self,
@@ -794,22 +919,40 @@ class RunContext:
         """Interpret rows of one recording as one merged graph.
 
         Identical subcomputations run once
-        (:func:`repro.hub.merge.merge_programs`), and each row's events
+        (:func:`repro.hub.merge.merge_graphs`), and each row's events
         are its own tap's.  The merged graph is built for this run and
         dropped after it, so the rows' cached graphs hold no carry
         state.  Each row is filed in the ledger as a ``rounds`` run with
         an equal share of the merged run's seconds.
+
+        The run replays the shared node outputs already recorded on
+        this recording (:meth:`_recorded`), and records each frontier
+        node it computes (:func:`repro.hub.merge.frontier`), so later
+        runs on the recording skip the front end the rows share.
         """
-        merged = merge_programs([row.graph.program for row in rows])
+        merged = merge_graphs([row.graph for row in rows])
         graph = merged_graph(merged)
         trace = rows[0].trace
         channels = self._trace_channels(graph.channels, trace)
         items = sum(len(triple[0]) for triple in channels.values())
+        stored = self._shared.setdefault(
+            self._recording(trace, chunk_seconds, graph.channels), {}
+        )
+        known = self._recorded(graph, merged.taps, merged.keys, stored)
+        self.stats.shared_reads += len(known)
+        live = live_nodes(graph.nodes, merged.taps, known)
+        record: Dict[int, List[Chunk]] = {
+            node_id: [] for node_id in frontier(merged)
+            if node_id in live and merged.keys[node_id] not in stored
+        }
         start = time.perf_counter()
         tapped = HubRuntime(graph).run(
-            split_into_rounds(channels, chunk_seconds), merged.taps
+            split_into_rounds(channels, chunk_seconds), merged.taps,
+            known=known, record=record,
         )
         share = (time.perf_counter() - start) / len(rows)
+        for node_id, rounds in record.items():
+            self._record(stored, merged.keys[node_id], rounds)
         self.stats.merge_rounds += 1
         self.stats.merged_cells += len(rows)
         self.stats.merge_shared_nodes += merged.shared_nodes

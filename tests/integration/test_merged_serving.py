@@ -4,7 +4,8 @@ An audio raw-IL fleet — per-tenant siren, music and phrase conditions
 plus the registry's audio apps over three recordings — served with
 merging (the default batched path) must give the completion digest of
 an unbatched reference at one shard, at four shards, and with one shard
-killed and recovered from its journal.
+killed and recovered from its journal.  In each, later runs on a
+recording replay the front ends an earlier merged run recorded there.
 """
 
 import random
@@ -65,6 +66,7 @@ def reference_digest(registry, workload):
         context_factory=lambda: RunContext(batch=False),
     )
     assert report.metrics.merged.merge_rounds == 0
+    assert report.metrics.merged.shared_reads == 0
     return completion_digest(report.pairs)
 
 
@@ -77,6 +79,10 @@ def test_merged_fleet_matches_unbatched_reference(
     assert metrics.completed == len(workload)
     assert metrics.merge_rounds > 0
     assert metrics.merged_cells >= 2 * metrics.merge_rounds
+    # Later runs on a recording replay the front ends merged runs
+    # recorded there.
+    assert metrics.shared_reads > 0
+    assert metrics.shared_entries > 0 and metrics.shared_bytes > 0
     assert completion_digest(report.pairs) == reference_digest
 
 
@@ -94,4 +100,5 @@ def test_killed_and_recovered_shard_matches_unbatched_reference(
     )
     assert set(report.recoveries) == {1}
     assert report.metrics.merged.merge_rounds > 0
+    assert report.metrics.merged.shared_reads > 0
     assert completion_digest(report.pairs) == reference_digest

@@ -10,10 +10,14 @@ tenant budgets; a stalled or journal-broken shard degrades
 deterministically and sheds bulk work.
 """
 
+import gc
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.apps import all_applications
-from repro.errors import ServiceKilled
+from repro.errors import ServiceKilled, TraceError
 from repro.serve import scheduler as scheduler_module
 from repro.serve import (
     Completed,
@@ -32,6 +36,7 @@ from repro.serve import (
     run_fleet,
     shard_journal_path,
 )
+from repro.serve.journal import JournalWriter
 from repro.serve.loadgen import (
     STREAM_INCREMENTAL_IL,
     STREAM_REPLAY_IL,
@@ -359,6 +364,25 @@ class TestDamagedJournals:
             assert stats.truncated_bytes == 17
         finally:
             recovered.shutdown()
+
+    def test_failed_recovery_closes_its_journal(self, tmp_path):
+        """A rebuild that raises must not leave the new service's
+        journal file open (a ResourceWarning when it is collected)."""
+        journal = tmp_path / "shard.wal"
+        writer = JournalWriter(journal)
+        for seq in (0, 2):
+            writer.append(
+                ("chunk", "t0", "s0", seq, 0.0, {"ACC_X": 50.0},
+                 {"ACC_X": np.zeros(4).tobytes()})
+            )
+        writer.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TraceError, match="must append in order"):
+                ConditionService.recover(journal, {})
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
 
 class TestQuotaReconstruction:

@@ -63,9 +63,9 @@ def runs(monkeypatch):
     calls = []
     run = HubRuntime.run
 
-    def counted(self, rounds, taps=None):
+    def counted(self, rounds, taps=None, **kwargs):
         calls.append(taps)
-        return run(self, rounds, taps)
+        return run(self, rounds, taps, **kwargs)
 
     monkeypatch.setattr(HubRuntime, "run", counted)
     return calls
@@ -168,10 +168,10 @@ def test_scheduler_answers_each_request_when_a_merged_run_fails(
 ):
     # A failed merged run propagates out of the batch; the scheduler's
     # per-key fallback then answers every request on its own.
-    def broken(programs):
+    def broken(graphs):
         raise HubExecutionError("merged run failed")
 
-    monkeypatch.setattr(engine, "merge_programs", broken)
+    monkeypatch.setattr(engine, "merge_graphs", broken)
     texts = [registry_condition(a) for a in REGISTRY_AUDIO_APPS]
     scheduler = Scheduler({clips[0].name: clips[0]}, RunContext())
     entries = [

@@ -199,6 +199,28 @@ class TestRequestPath:
         assert isinstance(rejected, Rejected)
         assert "no chunks yet" in rejected.detail
 
+    def test_negative_seq_first_chunk_opens_no_stream(self, tmp_path):
+        """A first chunk with a negative seq is an idempotent no-op, so
+        nothing is journaled for it; a subscription on the stream it
+        would open could not be recovered."""
+        journal = tmp_path / "shard.journal"
+        service = ConditionService(traces={}, journal=journal)
+        assert not service.push_chunk(
+            "t0", "s0", -1, {"ACC_X": np.zeros(100)},
+            rate_hz={"ACC_X": RATE},
+        )
+        assert service.stream_cursor("t0", "s0") == 0
+        rejected = service.subscribe_stream(
+            Submission(tenant="t0", trace="s0", il=CONDITIONS["incremental"])
+        )
+        assert isinstance(rejected, Rejected)
+        assert "no chunks yet" in rejected.detail
+        service.pump()
+        service.shutdown()
+        recovered, stats = ConditionService.recover(journal, traces={})
+        recovered.shutdown()
+        assert (stats.streams, stats.chunks) == (0, 0)
+
     def test_stream_cursor_tracks_next_seq(self):
         service = ConditionService(traces={})
         assert service.stream_cursor("t0", "s0") == 0
